@@ -22,11 +22,43 @@ use minoan_common::FxHashMap;
 use minoan_datagen::{generate, profiles};
 use minoan_mapreduce::Engine;
 use minoan_metablocking::{
-    parallel, prune, streaming, BlockingGraph, Pruning, Session, StreamingOptions, WeightingScheme,
+    parallel, BlockingGraph, ExecutionBackend, JobReport, PruneOutcome, Pruning, Session,
+    WeightingScheme,
 };
 use minoan_rdf::EntityId;
 use std::hint::black_box;
 use std::time::Instant;
+
+/// A materialised session whose CSR graph is already built, so its runs
+/// time the pruning alone.
+fn prebuilt(blocks: &BlockCollection, scheme: WeightingScheme, pruning: Pruning) -> Session<'_> {
+    let mut session = Session::new(blocks);
+    session.scheme(scheme).pruning(pruning);
+    session.graph();
+    session
+}
+
+/// One fresh single-shot session run (`threads: None` = all cores).
+fn once(
+    blocks: &BlockCollection,
+    scheme: WeightingScheme,
+    pruning: Pruning,
+    backend: ExecutionBackend,
+    threads: Option<usize>,
+) -> PruneOutcome {
+    let mut session = Session::new(blocks);
+    session.scheme(scheme).pruning(pruning).backend(backend);
+    if let Some(t) = threads {
+        session.workers(t);
+    }
+    session.run()
+}
+
+const WNP: Pruning = Pruning::Wnp { reciprocal: false };
+const CNP: Pruning = Pruning::Cnp {
+    reciprocal: false,
+    k: None,
+};
 
 fn bench_metablocking(c: &mut Criterion) {
     let world = generate(&profiles::center_dense(400, 11));
@@ -47,30 +79,26 @@ fn bench_metablocking(c: &mut Criterion) {
             |b, &s| b.iter(|| black_box(s.all_weights(&graph))),
         );
     }
-    group.bench_function("wep/arcs", |b| {
-        b.iter(|| black_box(prune::wep(&graph, WeightingScheme::Arcs)));
-    });
-    group.bench_function("wep/arcs-streaming", |b| {
-        b.iter(|| black_box(streaming::wep(&cleaned, WeightingScheme::Arcs)));
-    });
-    group.bench_function("wnp/arcs", |b| {
-        b.iter(|| black_box(prune::wnp(&graph, WeightingScheme::Arcs, false)));
-    });
-    group.bench_function("wnp/arcs-streaming", |b| {
-        b.iter(|| black_box(streaming::wnp(&cleaned, WeightingScheme::Arcs, false)));
-    });
-    group.bench_function("cnp/js", |b| {
-        b.iter(|| black_box(prune::cnp(&graph, WeightingScheme::Js, false, None)));
-    });
-    group.bench_function("cnp/js-streaming", |b| {
-        b.iter(|| black_box(streaming::cnp(&cleaned, WeightingScheme::Js, false, None)));
-    });
-    group.bench_function("cep/ecbs", |b| {
-        b.iter(|| black_box(prune::cep(&graph, WeightingScheme::Ecbs, None)));
-    });
-    group.bench_function("cep/ecbs-streaming", |b| {
-        b.iter(|| black_box(streaming::cep(&cleaned, WeightingScheme::Ecbs, None)));
-    });
+    for (name, scheme, pruning) in [
+        ("wep/arcs", WeightingScheme::Arcs, Pruning::Wep),
+        ("wnp/arcs", WeightingScheme::Arcs, WNP),
+        ("cnp/js", WeightingScheme::Js, CNP),
+        ("cep/ecbs", WeightingScheme::Ecbs, Pruning::Cep(None)),
+    ] {
+        let mut session = prebuilt(&cleaned, scheme, pruning);
+        group.bench_function(name, |b| b.iter(|| black_box(session.run())));
+        group.bench_function(format!("{name}-streaming"), |b| {
+            b.iter(|| {
+                black_box(once(
+                    &cleaned,
+                    scheme,
+                    pruning,
+                    ExecutionBackend::Streaming,
+                    None,
+                ))
+            })
+        });
+    }
     // The session API's reason to exist: sweeping all five schemes reuses
     // the shared state instead of rebuilding it per scheme.
     group.bench_function("sweep5-wnp/session", |b| {
@@ -85,8 +113,13 @@ fn bench_metablocking(c: &mut Criterion) {
     group.bench_function("sweep5-wnp/rebuild", |b| {
         b.iter(|| {
             for scheme in WeightingScheme::ALL {
-                let g = BlockingGraph::build(&cleaned);
-                black_box(prune::wnp(&g, scheme, false));
+                black_box(once(
+                    &cleaned,
+                    scheme,
+                    WNP,
+                    ExecutionBackend::Materialized,
+                    None,
+                ));
             }
         });
     });
@@ -120,7 +153,7 @@ fn hashmap_baseline_build(collection: &BlockCollection) -> usize {
 struct Record {
     world: usize,
     edges: usize,
-    variant: &'static str,
+    variant: String,
     nanos: u128,
 }
 
@@ -177,7 +210,7 @@ fn bench_scaling(_c: &mut Criterion) {
         let edges = BlockingGraph::build(&cleaned).num_edges();
         println!("world {n}: {} blocks, {edges} graph edges", cleaned.len());
 
-        let mut rec = |variant: &'static str, nanos: u128| {
+        let mut rec = |variant: &str, nanos: u128| {
             println!(
                 "  {variant:<24} {:>10.2} ms   ({:.1} Medges/s)",
                 nanos as f64 / 1e6,
@@ -186,7 +219,7 @@ fn bench_scaling(_c: &mut Criterion) {
             records.push(Record {
                 world: n,
                 edges,
-                variant,
+                variant: variant.to_string(),
                 nanos,
             });
         };
@@ -207,125 +240,27 @@ fn bench_scaling(_c: &mut Criterion) {
             ),
         );
 
-        let graph = BlockingGraph::build(&cleaned);
-        rec(
-            "wnp/materialized-prune",
-            time(|| prune::wnp(&graph, WeightingScheme::Arcs, false), reps),
-        );
-        rec(
-            "wnp/materialized-total",
-            time(
-                || {
-                    let g = BlockingGraph::build(&cleaned);
-                    prune::wnp(&g, WeightingScheme::Arcs, false)
-                },
-                reps,
-            ),
-        );
-        rec(
-            "wnp/streaming-serial",
-            time(
-                || {
-                    streaming::wnp_with(
-                        &cleaned,
-                        WeightingScheme::Arcs,
-                        false,
-                        &StreamingOptions::with_threads(1),
-                    )
-                },
-                reps,
-            ),
-        );
-        rec(
-            "wnp/streaming-parallel",
-            time(
-                || {
-                    streaming::wnp_with(
-                        &cleaned,
-                        WeightingScheme::Arcs,
-                        false,
-                        &StreamingOptions::with_threads(threads),
-                    )
-                },
-                reps,
-            ),
-        );
-
-        rec(
-            "wep/materialized-total",
-            time(
-                || {
-                    let g = BlockingGraph::build(&cleaned);
-                    prune::wep(&g, WeightingScheme::Arcs)
-                },
-                reps,
-            ),
-        );
-        rec(
-            "wep/streaming-serial",
-            time(
-                || {
-                    streaming::wep_with(
-                        &cleaned,
-                        WeightingScheme::Arcs,
-                        &StreamingOptions::with_threads(1),
-                    )
-                },
-                reps,
-            ),
-        );
-        rec(
-            "wep/streaming-parallel",
-            time(
-                || {
-                    streaming::wep_with(
-                        &cleaned,
-                        WeightingScheme::Arcs,
-                        &StreamingOptions::with_threads(threads),
-                    )
-                },
-                reps,
-            ),
-        );
-
-        rec(
-            "cep/materialized-total",
-            time(
-                || {
-                    let g = BlockingGraph::build(&cleaned);
-                    prune::cep(&g, WeightingScheme::Ecbs, None)
-                },
-                reps,
-            ),
-        );
-        rec(
-            "cep/streaming-serial",
-            time(
-                || {
-                    streaming::cep_with(
-                        &cleaned,
-                        WeightingScheme::Ecbs,
-                        None,
-                        &StreamingOptions::with_threads(1),
-                    )
-                },
-                reps,
-            ),
-        );
-        rec(
-            "cep/streaming-parallel",
-            time(
-                || {
-                    streaming::cep_with(
-                        &cleaned,
-                        WeightingScheme::Ecbs,
-                        None,
-                        &StreamingOptions::with_threads(threads),
-                    )
-                },
-                reps,
-            ),
-        );
+        let mut session = prebuilt(&cleaned, WeightingScheme::Arcs, WNP);
+        rec("wnp/materialized-prune", time(|| session.run(), reps));
+        for (family, scheme, pruning) in [
+            ("wnp", WeightingScheme::Arcs, WNP),
+            ("wep", WeightingScheme::Arcs, Pruning::Wep),
+            ("cep", WeightingScheme::Ecbs, Pruning::Cep(None)),
+        ] {
+            let variants = [
+                ("materialized-total", ExecutionBackend::Materialized, None),
+                ("streaming-serial", ExecutionBackend::Streaming, Some(1)),
+                (
+                    "streaming-parallel",
+                    ExecutionBackend::Streaming,
+                    Some(threads),
+                ),
+            ];
+            for (variant, backend, workers) in variants {
+                let nanos = time(|| once(&cleaned, scheme, pruning, backend, workers), reps);
+                rec(&format!("{family}/{variant}"), nanos);
+            }
+        }
 
         // Scheme-sweep row family: all five schemes × WNP through one
         // Session (shared CSR build / sweep state) vs the pre-session
@@ -349,8 +284,13 @@ fn bench_scaling(_c: &mut Criterion) {
             time(
                 || {
                     for scheme in WeightingScheme::ALL {
-                        let g = BlockingGraph::build(&cleaned);
-                        black_box(prune::wnp(&g, scheme, false));
+                        black_box(once(
+                            &cleaned,
+                            scheme,
+                            WNP,
+                            ExecutionBackend::Materialized,
+                            None,
+                        ));
                     }
                 },
                 reps,
@@ -362,9 +302,9 @@ fn bench_scaling(_c: &mut Criterion) {
                 || {
                     let mut session = Session::new(&cleaned);
                     session
-                        .backend(minoan_metablocking::ExecutionBackend::Streaming)
+                        .backend(ExecutionBackend::Streaming)
                         .workers(threads)
-                        .pruning(Pruning::Wnp { reciprocal: false });
+                        .pruning(WNP);
                     for scheme in WeightingScheme::ALL {
                         black_box(session.scheme(scheme).run());
                     }
@@ -376,9 +316,14 @@ fn bench_scaling(_c: &mut Criterion) {
             "sweep5-wnp/streaming-rebuild",
             time(
                 || {
-                    let opts = StreamingOptions::with_threads(threads);
                     for scheme in WeightingScheme::ALL {
-                        black_box(streaming::wnp_with(&cleaned, scheme, false, &opts));
+                        black_box(once(
+                            &cleaned,
+                            scheme,
+                            WNP,
+                            ExecutionBackend::Streaming,
+                            Some(threads),
+                        ));
                     }
                 },
                 reps,
@@ -412,27 +357,27 @@ fn bench_scaling(_c: &mut Criterion) {
             edge_stats.intermediate_pairs,
             MR_WORKERS.map(|w| edge_stats.modeled_nanos(w)),
         );
-        let (_, report) =
-            parallel::wnp_with_report(&cleaned, WeightingScheme::Arcs, false, &engine);
-        mr_rec(
-            "entity-based/wnp",
-            report.shuffled_records(),
-            MR_WORKERS.map(|w| report.modeled_nanos(w)),
-        );
-        let (_, report) = parallel::wep_with_report(&cleaned, WeightingScheme::Arcs, &engine);
-        mr_rec(
-            "entity-based/wep",
-            report.shuffled_records(),
-            MR_WORKERS.map(|w| report.modeled_nanos(w)),
-        );
         // Same scheme as the other MapReduce rows so makespans compare
         // strategy cost, not weighting-scheme cost.
-        let (_, report) = parallel::cep_with_report(&cleaned, WeightingScheme::Arcs, None, &engine);
-        mr_rec(
-            "entity-based/cep",
-            report.shuffled_records(),
-            MR_WORKERS.map(|w| report.modeled_nanos(w)),
-        );
+        for (strategy, pruning) in [
+            ("entity-based/wnp", WNP),
+            ("entity-based/wep", Pruning::Wep),
+            ("entity-based/cep", Pruning::Cep(None)),
+        ] {
+            let report: JobReport = once(
+                &cleaned,
+                WeightingScheme::Arcs,
+                pruning,
+                ExecutionBackend::MapReduce,
+                Some(threads),
+            )
+            .report;
+            mr_rec(
+                strategy,
+                report.shuffled_records(),
+                MR_WORKERS.map(|w| report.modeled_nanos(w)),
+            );
+        }
     }
 
     // Hand-rolled JSON (no serde_json in this offline workspace). Each

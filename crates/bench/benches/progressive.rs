@@ -7,19 +7,18 @@ use minoan_er::{
     BenefitModel, Matcher, MatcherConfig, Pipeline, PipelineConfig, ProgressiveResolver,
     ResolverConfig, Strategy,
 };
-use minoan_metablocking::{prune, BlockingGraph, WeightingScheme};
+use minoan_metablocking::{Pruning, Session, WeightingScheme};
 use minoan_rdf::EntityId;
 use std::hint::black_box;
 
 fn candidates(world: &minoan_datagen::GeneratedWorld) -> Vec<(EntityId, EntityId, f64)> {
     let blocks = builders::token_and_uri_blocking(&world.dataset, ErMode::CleanClean);
     let cleaned = filter::filter(&purge::purge(&blocks).collection);
-    let graph = BlockingGraph::build(&cleaned);
-    prune::wnp(&graph, WeightingScheme::Arcs, false)
-        .pairs
-        .into_iter()
-        .map(|p| (p.a, p.b, p.weight))
-        .collect()
+    Session::new(&cleaned)
+        .scheme(WeightingScheme::Arcs)
+        .pruning(Pruning::Wnp { reciprocal: false })
+        .run()
+        .into_candidates()
 }
 
 fn bench_progressive(c: &mut Criterion) {

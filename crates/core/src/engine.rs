@@ -350,17 +350,16 @@ mod tests {
     use crate::matcher::MatcherConfig;
     use minoan_blocking::{builders, ErMode};
     use minoan_datagen::{generate, profiles, GeneratedWorld};
-    use minoan_metablocking::{prune, BlockingGraph, WeightingScheme};
+    use minoan_metablocking::{Pruning, Session, WeightingScheme};
 
     fn candidates(g: &GeneratedWorld, mode: ErMode) -> Vec<(EntityId, EntityId, f64)> {
         let blocks = builders::token_blocking(&g.dataset, mode);
         let cleaned = minoan_blocking::filter::clean(&blocks);
-        let graph = BlockingGraph::build(&cleaned);
-        prune::wnp(&graph, WeightingScheme::Arcs, false)
-            .pairs
-            .into_iter()
-            .map(|p| (p.a, p.b, p.weight))
-            .collect()
+        Session::new(&cleaned)
+            .scheme(WeightingScheme::Arcs)
+            .pruning(Pruning::Wnp { reciprocal: false })
+            .run()
+            .into_candidates()
     }
 
     fn resolver<'a>(g: &'a GeneratedWorld, config: ResolverConfig) -> ProgressiveResolver<'a> {

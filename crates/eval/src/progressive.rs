@@ -230,17 +230,16 @@ mod tests {
     use minoan_blocking::{builders, ErMode};
     use minoan_datagen::{generate, profiles};
     use minoan_er::{Matcher, MatcherConfig, ProgressiveResolver, ResolverConfig, Strategy};
-    use minoan_metablocking::{prune, BlockingGraph, WeightingScheme};
+    use minoan_metablocking::{Pruning, Session, WeightingScheme};
 
     fn run(g: &minoan_datagen::GeneratedWorld, strategy: Strategy) -> minoan_er::Resolution {
         let blocks = builders::token_blocking(&g.dataset, ErMode::CleanClean);
         let cleaned = minoan_blocking::filter::clean(&blocks);
-        let graph = BlockingGraph::build(&cleaned);
-        let pairs: Vec<_> = prune::wnp(&graph, WeightingScheme::Arcs, false)
-            .pairs
-            .into_iter()
-            .map(|p| (p.a, p.b, p.weight))
-            .collect();
+        let pairs = Session::new(&cleaned)
+            .scheme(WeightingScheme::Arcs)
+            .pruning(Pruning::Wnp { reciprocal: false })
+            .run()
+            .into_candidates();
         let matcher = Matcher::new(&g.dataset, MatcherConfig::default());
         ProgressiveResolver::new(
             &g.dataset,

@@ -75,6 +75,11 @@ pub const RULES: &[RuleInfo] = &[
         name: "forbid-unsafe",
         summary: "crate root missing #![forbid(unsafe_code)]",
     },
+    RuleInfo {
+        code: "ML008",
+        name: "hidden-api",
+        summary: "#[doc(hidden)] on a pub item in library code (test-only shims belong in tests/)",
+    },
 ];
 
 /// Looks a rule up by name.
@@ -83,9 +88,10 @@ pub fn rule_by_name(name: &str) -> Option<&'static RuleInfo> {
 }
 
 /// Hot-path modules: no per-token string allocation (ML001). These are the
-/// flat-pipeline stages PR 5 made string-free plus the sweep kernels, and
-/// the per-request paths of the resolution service (a query must not
-/// allocate strings any more than a sweep row may).
+/// flat-pipeline stages PR 5 made string-free plus the sweep kernels and
+/// the pruning core every backend's rows pass through, and the per-request
+/// paths of the resolution service (a query must not allocate strings any
+/// more than a sweep row may).
 const HOT_PATH_FILES: &[&str] = &[
     "crates/blocking/src/builders.rs",
     "crates/blocking/src/layout.rs",
@@ -93,7 +99,7 @@ const HOT_PATH_FILES: &[&str] = &[
     "crates/blocking/src/filter.rs",
     "crates/metablocking/src/kernel.rs",
     "crates/metablocking/src/sweep.rs",
-    "crates/metablocking/src/streaming.rs",
+    "crates/metablocking/src/prune.rs",
     "crates/metablocking/src/parallel.rs",
     "crates/metablocking/src/query.rs",
     "crates/server/src/service.rs",
@@ -108,7 +114,7 @@ const FLAT_CORE_FILES: &[&str] = &[
     "crates/blocking/src/filter.rs",
     "crates/metablocking/src/kernel.rs",
     "crates/metablocking/src/sweep.rs",
-    "crates/metablocking/src/streaming.rs",
+    "crates/metablocking/src/prune.rs",
     "crates/metablocking/src/parallel.rs",
 ];
 
@@ -119,7 +125,7 @@ const PARALLEL_FILES: &[&str] = &[
     "crates/blocking/src/parallel.rs",
     "crates/metablocking/src/kernel.rs",
     "crates/metablocking/src/sweep.rs",
-    "crates/metablocking/src/streaming.rs",
+    "crates/metablocking/src/prune.rs",
     "crates/metablocking/src/parallel.rs",
     "crates/mapreduce/src/engine.rs",
 ];
@@ -173,6 +179,11 @@ pub fn is_test_path(rel: &str) -> bool {
     parts
         .iter()
         .any(|p| *p == "tests" || *p == "benches" || *p == "examples")
+}
+
+/// Library code: a crate's `src/` tree or the facade's.
+fn is_library_path(rel: &str) -> bool {
+    rel.starts_with("src/") || in_crate_src(rel)
 }
 
 fn is_crate_root(rel: &str) -> bool {
@@ -248,6 +259,9 @@ pub fn check_rust(rel: &str, scanned: &ScannedFile, out: &mut Vec<Diagnostic>) {
             unwrap_in_lib(rel, scanned, out);
         }
         legacy_oracle_reach(rel, scanned, out);
+        if is_library_path(rel) {
+            hidden_api(rel, scanned, out);
+        }
     }
 
     out.sort_by(|a, b| (a.line, a.col, a.code).cmp(&(b.line, b.col, b.code)));
@@ -701,6 +715,38 @@ fn legacy_oracle_reach(rel: &str, s: &ScannedFile, out: &mut Vec<Diagnostic>) {
                 ),
             ));
         }
+    }
+}
+
+/// ML008 — `#[doc(hidden)]` on a `pub` item of library code. A hidden
+/// public item is still API every caller can reach; one kept only for
+/// tests belongs in the test tree. (Further attributes may sit between
+/// the attribute and the item.)
+fn hidden_api(rel: &str, s: &ScannedFile, out: &mut Vec<Diagnostic>) {
+    const ATTR: &str = "#[doc(hidden)]";
+    for off in find_all(&s.masked, ATTR) {
+        if s.in_test(off) {
+            continue;
+        }
+        let mut rest = s.masked[off + ATTR.len()..].trim_start();
+        while rest.starts_with("#[") {
+            let Some(end) = rest.find(']') else { break };
+            rest = rest[end + 1..].trim_start();
+        }
+        if !rest.starts_with("pub ") {
+            continue;
+        }
+        let (line, col) = s.line_col(off);
+        out.push(diag(
+            rel,
+            line,
+            col,
+            "hidden-api",
+            "`#[doc(hidden)]` on a `pub` item — hidden public API is still API; move \
+             test-only shims into the test tree, or allowlist the path in lint.toml \
+             with a reason"
+                .to_string(),
+        ));
     }
 }
 

@@ -85,7 +85,7 @@ fn ml002_tier_b_sorted_is_clean() {
 fn ml003_float_accumulation_fires() {
     let src = include_str!("lint_fixtures/ml003_fire.rs");
     assert_eq!(
-        fired("crates/metablocking/src/streaming.rs", src),
+        fired("crates/metablocking/src/prune.rs", src),
         vec![("ML003", 4)]
     );
 }
@@ -93,7 +93,7 @@ fn ml003_float_accumulation_fires() {
 #[test]
 fn ml003_pairwise_sum_is_clean() {
     let src = include_str!("lint_fixtures/ml003_clean.rs");
-    assert_eq!(fired("crates/metablocking/src/streaming.rs", src), vec![]);
+    assert_eq!(fired("crates/metablocking/src/prune.rs", src), vec![]);
 }
 
 #[test]
@@ -151,4 +151,34 @@ fn ml007_missing_forbid_fires_on_crate_root() {
 fn ml007_present_forbid_is_clean() {
     let src = include_str!("lint_fixtures/ml007_clean.rs");
     assert_eq!(fired("crates/fixture/src/lib.rs", src), vec![]);
+}
+
+#[test]
+fn ml008_hidden_pub_item_fires_in_library_code() {
+    let src = include_str!("lint_fixtures/ml008_fire.rs");
+    assert_eq!(
+        fired("crates/metablocking/src/fixture.rs", src),
+        vec![("ML008", 1), ("ML008", 4)]
+    );
+    // Test and bench trees are out of scope.
+    assert_eq!(fired("tests/common/fixture.rs", src), vec![]);
+}
+
+#[test]
+fn ml008_allowlisted_path_is_suppressed() {
+    let src = include_str!("lint_fixtures/ml008_fire.rs");
+    let config = Config::parse(
+        "[[allow]]\nrule = \"hidden-api\"\npath = \"crates/blocking/src/*.rs\"\n\
+         reason = \"reference oracle kept for the equivalence suites\"\n",
+    )
+    .expect("fixture config parses");
+    let out = lint_rust_source("crates/blocking/src/fixture.rs", src, &config);
+    assert!(out.fired.is_empty(), "{:?}", out.fired);
+    assert_eq!(out.allowed.len(), 2);
+}
+
+#[test]
+fn ml008_crate_private_and_test_items_are_clean() {
+    let src = include_str!("lint_fixtures/ml008_clean.rs");
+    assert_eq!(fired("crates/metablocking/src/fixture.rs", src), vec![]);
 }

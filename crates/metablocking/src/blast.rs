@@ -19,11 +19,12 @@
 //!
 //! χ² = |B| · (n11·n22 − n12·n21)² / (r1·r2·c1·c2), zero when any marginal
 //! is empty.
+//!
+//! The pruning itself is [`Pruning::Blast`](crate::Pruning::Blast): a
+//! union-vote node-centric family of the pruning core whose rows carry χ²
+//! weights and whose per-row bar is `ratio ·` the row maximum.
 
 use crate::graph::{BlockingGraph, Edge};
-use crate::prune::{PrunedComparisons, WeightedPair};
-use crate::weights::WeightingScheme;
-use minoan_rdf::EntityId;
 
 /// Default keep ratio of the loose pruning (BLAST's recommended 0.35…0.5
 /// range; JedAI defaults to 0.5 of the *sum of the two node maxima* — here
@@ -79,79 +80,16 @@ pub fn chi_square_weights(graph: &BlockingGraph) -> Vec<f64> {
         .collect()
 }
 
-/// BLAST pruning: per node, keep edges with weight ≥ `ratio · local_max`;
-/// an edge survives if either endpoint keeps it (redundancy semantics).
-///
-/// The returned [`PrunedComparisons`] reports scheme
-/// [`WeightingScheme::Cbs`] as a placeholder label; the weights themselves
-/// are the χ² values.
-///
-/// # Panics
-/// Panics unless `0 < ratio ≤ 1`.
-#[doc(hidden)]
-pub fn blast(graph: &BlockingGraph, ratio: f64) -> PrunedComparisons {
-    assert!(ratio > 0.0 && ratio <= 1.0, "ratio must be in (0, 1]");
-    let weights = chi_square_weights(graph);
-    // Local maxima per node.
-    let n = graph.num_nodes();
-    let mut local_max = vec![0.0f64; n];
-    for (i, e) in graph.edges().iter().enumerate() {
-        let w = weights[i];
-        if w > local_max[e.a.index()] {
-            local_max[e.a.index()] = w;
-        }
-        if w > local_max[e.b.index()] {
-            local_max[e.b.index()] = w;
-        }
-    }
-    let mut pairs: Vec<WeightedPair> = graph
-        .edges()
-        .iter()
-        .enumerate()
-        .filter(|(i, e)| {
-            let w = weights[*i];
-            w > 0.0 && (w >= ratio * local_max[e.a.index()] || w >= ratio * local_max[e.b.index()])
-        })
-        .map(|(i, e)| WeightedPair {
-            a: e.a,
-            b: e.b,
-            weight: weights[i],
-        })
-        .collect();
-    pairs.sort_by(|x, y| {
-        y.weight
-            .partial_cmp(&x.weight)
-            .expect("chi-square weights are finite")
-            .then_with(|| (x.a, x.b).cmp(&(y.a, y.b)))
-    });
-    PrunedComparisons {
-        pairs,
-        scheme: WeightingScheme::Cbs,
-        input_edges: graph.num_edges(),
-    }
-}
-
-/// Convenience accessor: the χ² weight of a specific pair, if the edge
-/// exists.
-pub fn pair_weight(graph: &BlockingGraph, a: EntityId, b: EntityId) -> Option<f64> {
-    let (lo, hi) = (a.min(b), a.max(b));
-    graph
-        .incident(lo)
-        .iter()
-        .map(|&i| (i, graph.edge(i)))
-        .find(|(_, e)| e.a == lo && e.b == hi)
-        .map(|(i, _)| chi_square_weight(graph, graph.edge(i)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{ExecutionBackend, PrunedComparisons, Pruning, Session};
     use minoan_blocking::{BlockCollection, ErMode};
-    use minoan_rdf::DatasetBuilder;
+    use minoan_rdf::{DatasetBuilder, EntityId};
 
     /// Entities 0,1 in KB a; 2,3 in KB b. (0,2) co-occur in most blocks,
     /// (1,3) only in the big catch-all block.
-    fn graph() -> BlockingGraph {
+    fn collection() -> BlockCollection {
         let mut b = DatasetBuilder::new();
         let k0 = b.add_kb("a", "http://a/");
         let k1 = b.add_kb("b", "http://b/");
@@ -171,15 +109,34 @@ mod tests {
             ("k4".to_string(), vec![e(0), e(1), e(2), e(3)]),
             ("k5".to_string(), vec![e(1), e(2)]),
         ];
-        let c = BlockCollection::from_groups(&ds, ErMode::CleanClean, groups);
-        BlockingGraph::build(&c)
+        BlockCollection::from_groups(&ds, ErMode::CleanClean, groups)
+    }
+
+    /// BLAST at `ratio` on every backend (asserted bit-identical).
+    fn blast(c: &BlockCollection, ratio: f64) -> PrunedComparisons {
+        let mut session = Session::new(c);
+        session.pruning(Pruning::Blast { ratio });
+        let base = session.run().pruned;
+        for backend in [ExecutionBackend::Streaming, ExecutionBackend::MapReduce] {
+            let other = session.backend(backend).run().pruned;
+            crate::assert_bit_identical(&other, &base, &format!("blast/{backend:?}"));
+        }
+        base
+    }
+
+    fn weight(g: &BlockingGraph, a: u32, b: u32) -> f64 {
+        let e = g
+            .edges()
+            .iter()
+            .find(|e| (e.a.0, e.b.0) == (a, b))
+            .expect("edge exists");
+        chi_square_weight(g, e)
     }
 
     #[test]
     fn chi_square_rewards_systematic_cooccurrence() {
-        let g = graph();
-        let strong = pair_weight(&g, EntityId(0), EntityId(2)).unwrap();
-        let weak = pair_weight(&g, EntityId(1), EntityId(3)).unwrap();
+        let g = BlockingGraph::build(&collection());
+        let (strong, weak) = (weight(&g, 0, 2), weight(&g, 1, 3));
         assert!(
             strong > weak,
             "systematic co-occurrence should outweigh catch-all: {strong} vs {weak}"
@@ -188,7 +145,7 @@ mod tests {
 
     #[test]
     fn chi_square_is_finite_and_nonnegative() {
-        let g = graph();
+        let g = BlockingGraph::build(&collection());
         for w in chi_square_weights(&g) {
             assert!(w.is_finite() && w >= 0.0);
         }
@@ -196,8 +153,9 @@ mod tests {
 
     #[test]
     fn blast_keeps_local_maxima() {
-        let g = graph();
-        let pruned = blast(&g, 0.99);
+        let c = collection();
+        let g = BlockingGraph::build(&c);
+        let pruned = blast(&c, 0.99);
         // Every node's strongest edge must survive at ratio ≈ 1.
         for e in g.edges() {
             let w = chi_square_weight(&g, e);
@@ -219,25 +177,27 @@ mod tests {
 
     #[test]
     fn lower_ratio_keeps_more() {
-        let g = graph();
-        let strict = blast(&g, 1.0).pairs.len();
-        let loose = blast(&g, 0.1).pairs.len();
-        assert!(loose >= strict);
-        assert!(loose <= g.num_edges());
+        let c = collection();
+        let strict = blast(&c, 1.0).pairs.len();
+        let loose = blast(&c, 0.1);
+        assert!(loose.pairs.len() >= strict);
+        assert!(loose.pairs.len() <= loose.input_edges);
     }
 
     #[test]
     fn output_is_sorted_descending() {
-        let g = graph();
-        let pruned = blast(&g, DEFAULT_RATIO);
+        let c = collection();
+        let pruned = blast(&c, DEFAULT_RATIO);
         assert!(pruned.pairs.windows(2).all(|w| w[0].weight >= w[1].weight));
-        assert_eq!(pruned.input_edges, g.num_edges());
+        assert_eq!(pruned.input_edges, BlockingGraph::build(&c).num_edges());
     }
 
     #[test]
     #[should_panic(expected = "ratio")]
     fn bad_ratio_rejected() {
-        blast(&graph(), 0.0);
+        Session::new(&collection())
+            .pruning(Pruning::Blast { ratio: 0.0 })
+            .run();
     }
 
     #[test]
@@ -252,9 +212,7 @@ mod tests {
         let ds = b.build();
         let groups = vec![("k".to_string(), vec![EntityId(0), EntityId(1)])];
         let c = BlockCollection::from_groups(&ds, ErMode::CleanClean, groups);
-        let g = BlockingGraph::build(&c);
         // |B| = 1, B_i = B_j = CBS = 1 → n22 row/col zero → weight 0.
-        let pruned = blast(&g, 0.5);
-        assert!(pruned.pairs.is_empty());
+        assert!(blast(&c, 0.5).pairs.is_empty());
     }
 }

@@ -20,7 +20,10 @@
 //! precomputed offset, and per-edge ARCS sums accumulate in ascending
 //! block order exactly as the serial build would.
 
-use crate::sweep::{default_threads, entity_sweep_ranges, split_by_ends, SweepScratch};
+use crate::prune::{Rows, Visit};
+use crate::sweep::{
+    default_threads, entity_sweep_ranges, partition_by_cost, split_by_ends, SweepScratch,
+};
 use minoan_blocking::BlockCollection;
 use minoan_rdf::EntityId;
 
@@ -236,6 +239,58 @@ impl BlockingGraph {
         self.edges.len() * std::mem::size_of::<Edge>()
             + (self.edge_offsets.len() + self.adj_offsets.len() + self.adj_edges.len()) * 4
             + self.blocks_of.len() * 4
+    }
+}
+
+/// The materialised backend's row producer: the CSR incident rows of the
+/// graph, each edge carrying its entry from a slab aligned with
+/// [`BlockingGraph::edges`] (a weight per edge, or a raw feature vector).
+/// Incident edge indices are ascending, and edges are sorted by pair, so
+/// every row comes out ascending by neighbour.
+pub(crate) struct GraphRows<'g, E> {
+    graph: &'g BlockingGraph,
+    entries: Vec<E>,
+}
+
+impl<'g, E> GraphRows<'g, E> {
+    /// Rows over `graph` with `entries[i]` the entry of edge `i`.
+    pub(crate) fn new(graph: &'g BlockingGraph, entries: Vec<E>) -> Self {
+        debug_assert_eq!(entries.len(), graph.num_edges());
+        Self { graph, entries }
+    }
+
+    /// Cost-balanced entity ranges for `threads` workers (cost: degree).
+    pub(crate) fn ranges(&self, threads: usize) -> Vec<std::ops::Range<usize>> {
+        let costs: Vec<u64> = (0..self.graph.num_nodes() as u32)
+            .map(|e| self.graph.degree(EntityId(e)) as u64 + 1)
+            .collect();
+        partition_by_cost(&costs, threads)
+    }
+}
+
+impl<E: Copy + Sync> Rows<E> for GraphRows<'_, E> {
+    fn visit(&self, range: std::ops::Range<usize>, forward: bool, f: &mut Visit<'_, E>) {
+        let g = self.graph;
+        let mut row = Vec::new();
+        for a in range {
+            let (lo, hi) = (g.edge_offsets[a] as usize, g.edge_offsets[a + 1] as usize);
+            row.clear();
+            if !forward {
+                // Edges to smaller neighbours precede `a`'s own slab run
+                // in its (ascending) incident list.
+                for &i in g.incident(EntityId(a as u32)) {
+                    if i as usize >= lo {
+                        break;
+                    }
+                    row.push((g.edges[i as usize].a.0, self.entries[i as usize]));
+                }
+            }
+            let run = g.edges[lo..hi].iter().zip(&self.entries[lo..hi]);
+            row.extend(run.map(|(e, &entry)| (e.b.0, entry)));
+            if !row.is_empty() {
+                f(a as u32, &row);
+            }
+        }
     }
 }
 

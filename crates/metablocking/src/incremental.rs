@@ -1,8 +1,8 @@
 //! Delta-sweep incremental meta-blocking: an *updatable* session over
 //! the flat slabs.
 //!
-//! [`Session`](crate::Session) answers "prune this finished collection";
-//! an [`IncrementalSession`] answers the pay-as-you-go question the paper
+//! [`Session`] answers "prune this finished collection"; an
+//! [`IncrementalSession`] answers the pay-as-you-go question the paper
 //! poses for Web-scale ER: descriptions *arrive*, and the pruned
 //! comparison set must stay current without re-sweeping the whole corpus
 //! per batch. Each [`IncrementalSession::ingest`] call
@@ -18,10 +18,10 @@
 //!    can have changed are re-swept, and the cached weight rows (theirs
 //!    and their neighbours') are patched in place.
 //!
-//! [`IncrementalSession::outcome`] then assembles a [`PruneOutcome`]
-//! from the cached rows that is **bit-identical** to a from-scratch
-//! [`Session`](crate::Session) run on the merged corpus — same pair
-//! order, same f64 weight bits, for every arrival order, batch size and
+//! [`IncrementalSession::outcome`] then runs the pruning core over the
+//! cached rows, giving a [`PruneOutcome`] **bit-identical** to a
+//! from-scratch [`Session`] run on the merged corpus — same pair order,
+//! same f64 weight bits, for every arrival order, batch size and
 //! thread count (enforced by `tests/incremental_delta.rs`).
 //!
 //! # Which combinations delta-sweep
@@ -53,10 +53,11 @@
 //!   results, no stale answers, and the [`probe`] counters
 //!   record which path ran.
 //!
-//! The pruning families `None`/`WEP`/`CEP`/`WNP`/`CNP` are all assembled
-//! from the rows (their criteria are row-local or deterministic global
-//! reductions over per-row sums); with a delta-sweepable scheme they
-//! never re-sweep untouched entities.
+//! For the pruning families `None`/`WEP`/`CEP`/`WNP`/`CNP` the row cache
+//! *is* the row producer the pruning core ([`prune`](mod@crate::prune))
+//! runs over — their criteria are row-local or deterministic global
+//! folds over the rows — so with a delta-sweepable scheme they never
+//! re-sweep untouched entities.
 //!
 //! ```
 //! use minoan_blocking::ErMode;
@@ -80,19 +81,18 @@
 //! assert!(outcome.pairs().len() <= outcome.input_edges());
 //! ```
 
-use crate::kernel::{combine_votes, neighbour_weights, normalised, WeightGlobals};
+use crate::kernel::{WeightGlobals, Weights};
 use crate::parallel::JobReport;
 use crate::probe;
-use crate::prune::{self, PrunedComparisons, WeightedPair};
-use crate::query::{self, CachedRows, Criterion, ResolvedEntity, SweepRows};
-use crate::session::{PruneOutcome, Pruning};
-use crate::streaming;
+use crate::prune::{self, Corpus, Pruning, Rows, Rule, Visit};
+use crate::query::{self, ResolvedEntity};
+use crate::session::{PruneOutcome, Session};
 use crate::sweep::{default_threads, partition_by_cost, split_by_ends, ScratchPool, SweepState};
 use crate::weights::WeightingScheme;
+use crate::ExecutionBackend;
 use minoan_blocking::{BlockCollection, ErMode, IncrementalCollection};
-use minoan_common::stats::mean;
-use minoan_common::{OrdF64, TopK};
 use minoan_rdf::{Dataset, EntityId};
+use std::ops::Range;
 
 /// What one [`IncrementalSession::ingest`] call did — the per-batch
 /// bookkeeping the bench harness and the subset assertions read.
@@ -156,10 +156,9 @@ pub struct IncrementalSession<'d> {
 }
 
 /// Query-time state cached per corpus version by
-/// [`IncrementalSession::resolve_entity`]: the pruning criterion and —
-/// for the sweep-fallback combinations — a snapshot of the weight
-/// globals (cloned out so the transient sweep state that computed them
-/// can be dropped).
+/// [`IncrementalSession::resolve_entity`]: the pruning rule and — for the
+/// sweep-fallback combinations — a snapshot of the weight globals (cloned
+/// out so the transient sweep state that computed them can be dropped).
 struct ResolveCache {
     version: u64,
     scheme: WeightingScheme,
@@ -167,12 +166,12 @@ struct ResolveCache {
     /// `Some` on the fallback path (per-request sweeps need them);
     /// `None` when the row cache serves the rows directly.
     globals: Option<WeightGlobals>,
-    criterion: Criterion,
+    rule: Rule,
 }
 
 impl<'d> IncrementalSession<'d> {
     /// An empty session over `dataset` (no entity has arrived yet) with
-    /// the [`Session`](crate::Session) defaults: ARCS-weighted WNP.
+    /// the [`Session`] defaults: ARCS-weighted WNP.
     pub fn new(dataset: &'d Dataset, mode: ErMode) -> Self {
         let n = dataset.len();
         Self {
@@ -263,17 +262,15 @@ impl<'d> IncrementalSession<'d> {
     /// delta-sweeps (see the [module docs](self) for why the others
     /// cannot be).
     pub fn supports_delta(&self) -> bool {
-        matches!(
-            self.scheme,
-            WeightingScheme::Cbs | WeightingScheme::Js | WeightingScheme::Arcs
-        ) && matches!(
-            self.pruning,
-            Pruning::None
-                | Pruning::Wep
-                | Pruning::Cep(_)
-                | Pruning::Wnp { .. }
-                | Pruning::Cnp { .. }
-        )
+        self.scheme.is_delta_local()
+            && matches!(
+                self.pruning,
+                Pruning::None
+                    | Pruning::Wep
+                    | Pruning::Cep(_)
+                    | Pruning::Wnp { .. }
+                    | Pruning::Cnp { .. }
+            )
     }
 
     /// Ingests a batch of not-yet-arrived descriptions: tokenise,
@@ -324,20 +321,8 @@ impl<'d> IncrementalSession<'d> {
         } else {
             // Cold cache (scheme switch or an unsupported interlude):
             // one full sweep re-seeds it, then deltas resume.
-            let n = self.rows.len();
-            let all: Vec<EntityId> = (0..n as u32).map(EntityId).collect();
-            resweep_rows(
-                self.scheme,
-                &self.pool,
-                &mut self.rows,
-                &mut self.sorted_len,
-                &delta.snapshot,
-                &all,
-                threads,
-            );
-            self.rows_valid = true;
-            probe::record_full_resweep();
-            report.swept_entities = n;
+            self.reseed(&delta.snapshot, threads);
+            report.swept_entities = self.rows.len();
         }
         self.version += 1;
         self.last_dirty = delta.dirty;
@@ -369,9 +354,10 @@ impl<'d> IncrementalSession<'d> {
     }
 
     /// Assembles the pruned comparisons of the current merged corpus —
-    /// bit-identical to a from-scratch [`Session`](crate::Session) run on
-    /// the same collection. Delta-supported combinations read the row
-    /// cache; the rest re-sweep the snapshot in full.
+    /// bit-identical to a from-scratch [`Session`] run on the same
+    /// collection. Delta-supported combinations run the pruning core over
+    /// the row cache; the rest re-sweep the snapshot through a streaming
+    /// session.
     pub fn outcome(&mut self) -> PruneOutcome {
         let threads = self.threads();
         let snapshot = match self.snapshot.take() {
@@ -379,33 +365,24 @@ impl<'d> IncrementalSession<'d> {
             None => self.collection.snapshot(threads),
         };
         let pruned = if self.supports_delta() {
-            if !self.rows_valid {
-                let n = self.rows.len();
-                let all: Vec<EntityId> = (0..n as u32).map(EntityId).collect();
-                resweep_rows(
-                    self.scheme,
-                    &self.pool,
-                    &mut self.rows,
-                    &mut self.sorted_len,
-                    &snapshot,
-                    &all,
-                    threads,
-                );
-                self.rows_valid = true;
-                probe::record_full_resweep();
-            }
-            // Fold any outstanding mirror tails into the sorted prefixes;
-            // assembly reads the rows as sorted duplicate-free sweeps.
-            for (row, s) in self.rows.iter_mut().zip(self.sorted_len.iter_mut()) {
-                if (*s as usize) < row.len() {
-                    normalize_row(row, *s as usize);
-                    *s = row.len() as u32;
-                }
-            }
-            self.assemble(&snapshot)
+            self.refresh_rows(&snapshot, threads);
+            let rows = CachedRows(&self.rows);
+            prune::run(
+                &rows,
+                &rows.ranges(threads),
+                &self.pruning,
+                self.scheme,
+                rows.corpus(&snapshot),
+            )
         } else {
             probe::record_full_resweep();
-            self.full_outcome(&snapshot, threads)
+            Session::new(&snapshot)
+                .scheme(self.scheme)
+                .pruning(self.pruning)
+                .backend(ExecutionBackend::Streaming)
+                .workers(threads)
+                .run()
+                .pruned
         };
         self.snapshot = Some(snapshot);
         PruneOutcome {
@@ -422,7 +399,7 @@ impl<'d> IncrementalSession<'d> {
     /// Delta-supported combinations answer from the patched row cache.
     /// The fallback combinations (ECBS/EJS, BLAST, supervised) sweep
     /// the queried neighbourhood on the snapshot. Either way the pruning
-    /// family's *global* inputs (WEP's threshold, CEP's top-k, CNP's
+    /// family's *global* inputs (WEP's threshold, CEP's top-k bar, CNP's
     /// default `k`, the supervised extractor) are built once per
     /// ingested version and reused by every resolve against it.
     ///
@@ -467,326 +444,113 @@ impl<'d> IncrementalSession<'d> {
             self.rebuild_resolve_cache(threads);
         }
         let cache = self.resolve_cache.as_ref().expect("cache just ensured");
-        let snapshot = self.snapshot.as_ref().expect("snapshot just ensured");
-        let pruning = self.pruning;
-        match (&pruning, &cache.criterion) {
-            (Pruning::Supervised(model), Criterion::Supervised(extractor)) => {
-                let globals = cache.globals.as_ref().expect("fallback stores globals");
-                query::resolve_supervised(snapshot, globals, &self.pool, extractor, model, entity)
-            }
-            _ if self.supports_delta() => {
-                let mut rows = CachedRows::new(&self.rows);
-                query::resolve_rows(&mut rows, entity, pruning, &cache.criterion)
-            }
-            (Pruning::Blast { .. }, _) => {
-                let globals = cache.globals.as_ref().expect("fallback stores globals");
-                let mut rows = SweepRows::chi2(snapshot, globals, &self.pool);
-                query::resolve_rows(&mut rows, entity, pruning, &cache.criterion)
-            }
-            _ => {
-                let globals = cache.globals.as_ref().expect("fallback stores globals");
-                let mut rows = SweepRows::scheme(snapshot, globals, &self.pool, self.scheme);
-                query::resolve_rows(&mut rows, entity, pruning, &cache.criterion)
+        match &cache.globals {
+            None => query::resolve(&CachedRows(&self.rows), entity, &cache.rule),
+            Some(globals) => {
+                let snapshot = self.snapshot.as_ref().expect("snapshot just ensured");
+                let weights = self.pruning.weights(self.scheme);
+                query::resolve_swept(snapshot, globals, &self.pool, weights, &cache.rule, entity)
             }
         }
     }
 
     /// Rebuilds the per-version query-time state. Delta-supported
-    /// combinations normalise the row cache (re-seeding it first if a
-    /// scheme switch left it cold) and derive the criterion from the
-    /// rows with the exact `assemble` pass-1 bodies; the rest run the
-    /// streaming criterion pass on a transient sweep state over the
+    /// combinations refresh the row cache and run the rule's criterion
+    /// step over it; the rest run it on a transient sweep state over the
     /// snapshot and keep a clone of its globals for per-request sweeps.
     fn rebuild_resolve_cache(&mut self, threads: usize) {
-        let snapshot = self.snapshot.as_ref().expect("snapshot ensured by caller");
-        let cache = if self.supports_delta() {
-            if !self.rows_valid {
-                let n = self.rows.len();
-                let all: Vec<EntityId> = (0..n as u32).map(EntityId).collect();
-                resweep_rows(
-                    self.scheme,
-                    &self.pool,
-                    &mut self.rows,
-                    &mut self.sorted_len,
-                    snapshot,
-                    &all,
-                    threads,
-                );
-                self.rows_valid = true;
-                probe::record_full_resweep();
-            }
-            for (row, s) in self.rows.iter_mut().zip(self.sorted_len.iter_mut()) {
-                if (*s as usize) < row.len() {
-                    normalize_row(row, *s as usize);
-                    *s = row.len() as u32;
-                }
-            }
-            ResolveCache {
-                version: self.version,
-                scheme: self.scheme,
-                pruning: self.pruning,
-                globals: None,
-                criterion: self.rows_criterion(snapshot),
-            }
+        let snapshot = self.snapshot.take().expect("snapshot ensured by caller");
+        let (globals, rule) = if self.supports_delta() {
+            self.refresh_rows(&snapshot, threads);
+            let rows = CachedRows(&self.rows);
+            let corpus = rows.corpus(&snapshot);
+            (
+                None,
+                Rule::build(&self.pruning, &rows, &rows.ranges(threads), corpus),
+            )
         } else {
-            let mut st = SweepState::new(snapshot);
-            let criterion = query::build_criterion(&mut st, self.scheme, &self.pruning, threads);
-            ResolveCache {
-                version: self.version,
-                scheme: self.scheme,
-                pruning: self.pruning,
-                globals: Some(st.globals().clone()),
-                criterion,
-            }
+            let mut st = SweepState::new(&snapshot);
+            let rule = st.rule(self.scheme, &self.pruning, threads);
+            (Some(st.globals().clone()), rule)
         };
-        self.resolve_cache = Some(cache);
+        self.snapshot = Some(snapshot);
+        self.resolve_cache = Some(ResolveCache {
+            version: self.version,
+            scheme: self.scheme,
+            pruning: self.pruning,
+            globals,
+            rule,
+        });
     }
 
-    /// The query-time criterion of a delta-supported combination, read
-    /// off the normalised row cache with the exact pass-1 bodies of
-    /// [`Self::assemble`] — same iteration order, same accumulation
-    /// shapes, so the thresholds carry the same f64 bits as a full
-    /// outcome's.
-    fn rows_criterion(&self, snapshot: &BlockCollection) -> Criterion {
-        let rows = &self.rows;
-        match self.pruning {
-            Pruning::None | Pruning::Wnp { .. } => Criterion::Local,
-            Pruning::Wep => {
-                let mut sums = vec![0.0f64; rows.len()];
-                let mut positive = 0u64;
-                for (a, row) in rows.iter().enumerate() {
-                    let mut sum = 0.0f64;
-                    for &(y, w) in row {
-                        if y > a as u32 && w > 0.0 {
-                            // lint:allow(float-accumulation): per-entity serial sum over sorted neighbours
-                            sum += w;
-                            positive += 1;
-                        }
-                    }
-                    sums[a] = sum;
-                }
-                Criterion::Wep(prune::wep_threshold_from_sums(&sums, positive))
-            }
-            Pruning::Cep(k) => {
-                let k =
-                    k.unwrap_or_else(|| prune::default_cep_k_from(snapshot.total_assignments()));
-                if k == 0 {
-                    return Criterion::Cep(Vec::new());
-                }
-                let mut top: TopK<(OrdF64, std::cmp::Reverse<(EntityId, EntityId)>)> = TopK::new(k);
-                for (a, row) in rows.iter().enumerate() {
-                    let a = a as u32;
-                    for &(y, w) in row {
-                        if y > a && w > 0.0 {
-                            top.push((OrdF64(w), std::cmp::Reverse((EntityId(a), EntityId(y)))));
-                        }
-                    }
-                }
-                let pairs: Vec<WeightedPair> = top
-                    .into_sorted_vec()
-                    .into_iter()
-                    .map(|(w, r)| WeightedPair {
-                        a: r.0 .0,
-                        b: r.0 .1,
-                        weight: w.0,
-                    })
-                    .collect();
-                // Presentation order: the full outcome runs these pairs
-                // through `from_weighted_pairs`.
-                Criterion::Cep(PrunedComparisons::from_weighted_pairs(pairs, self.scheme, 0).pairs)
-            }
-            Pruning::Cnp { k, .. } => {
-                let active_nodes = rows.iter().filter(|r| !r.is_empty()).count();
-                Criterion::CnpK(k.unwrap_or_else(|| {
-                    prune::default_cnp_k_from(snapshot.total_assignments(), active_nodes)
-                }))
-            }
-            Pruning::Blast { .. } | Pruning::Supervised(_) => {
-                unreachable!("rows criterion is only built for delta-supported families")
+    /// Makes the row cache readable as rows: re-seeds it with one full
+    /// sweep if a scheme switch (or an unsupported interlude) left it
+    /// cold, then folds every outstanding mirror tail into its sorted
+    /// prefix.
+    fn refresh_rows(&mut self, snapshot: &BlockCollection, threads: usize) {
+        if !self.rows_valid {
+            self.reseed(snapshot, threads);
+        }
+        for (row, s) in self.rows.iter_mut().zip(self.sorted_len.iter_mut()) {
+            if (*s as usize) < row.len() {
+                normalize_row(row, *s as usize);
+                *s = row.len() as u32;
             }
         }
     }
 
-    /// Row-cache assembly of the delta-supported pruning families. Each
-    /// body mirrors its `streaming` session counterpart statement for
-    /// statement — same iteration order, same accumulation shapes — which
-    /// is what keeps the f64 output bit-identical.
-    fn assemble(&self, snapshot: &BlockCollection) -> PrunedComparisons {
-        let scheme = self.scheme;
-        let rows = &self.rows;
-        // Every distinct comparable pair appears in its smaller
-        // endpoint's row as a forward (y > a) entry, so this is |V| —
-        // the input_edges figure every streaming family reports.
-        let total_pairs: usize = rows
-            .iter()
-            .enumerate()
-            .map(|(a, row)| row.iter().filter(|&&(y, _)| y > a as u32).count())
-            .sum();
-        match self.pruning {
-            Pruning::None => {
-                let mut pairs = Vec::with_capacity(total_pairs);
-                for (a, row) in rows.iter().enumerate() {
-                    let a = a as u32;
-                    for &(y, w) in row {
-                        if y > a {
-                            pairs.push(WeightedPair {
-                                a: EntityId(a),
-                                b: EntityId(y),
-                                weight: w,
-                            });
-                        }
-                    }
-                }
-                PrunedComparisons {
-                    pairs,
-                    scheme,
-                    input_edges: total_pairs,
-                }
-            }
-            Pruning::Wep => {
-                let mut sums = vec![0.0f64; rows.len()];
-                let mut positive = 0u64;
-                for (a, row) in rows.iter().enumerate() {
-                    let mut sum = 0.0f64;
-                    for &(y, w) in row {
-                        if y > a as u32 && w > 0.0 {
-                            // lint:allow(float-accumulation): per-entity serial sum over sorted neighbours
-                            sum += w;
-                            positive += 1;
-                        }
-                    }
-                    sums[a] = sum;
-                }
-                let threshold = prune::wep_threshold_from_sums(&sums, positive);
-                let mut kept = Vec::new();
-                for (a, row) in rows.iter().enumerate() {
-                    let a = a as u32;
-                    for &(y, w) in row {
-                        if y > a && w >= threshold && w > 0.0 {
-                            kept.push(WeightedPair {
-                                a: EntityId(a),
-                                b: EntityId(y),
-                                weight: w,
-                            });
-                        }
-                    }
-                }
-                PrunedComparisons::from_weighted_pairs(kept, scheme, total_pairs)
-            }
-            Pruning::Cep(k) => {
-                let k =
-                    k.unwrap_or_else(|| prune::default_cep_k_from(snapshot.total_assignments()));
-                if k == 0 {
-                    return PrunedComparisons::empty(scheme, total_pairs);
-                }
-                let mut top: TopK<(OrdF64, std::cmp::Reverse<(EntityId, EntityId)>)> = TopK::new(k);
-                for (a, row) in rows.iter().enumerate() {
-                    let a = a as u32;
-                    for &(y, w) in row {
-                        if y > a && w > 0.0 {
-                            top.push((OrdF64(w), std::cmp::Reverse((EntityId(a), EntityId(y)))));
-                        }
-                    }
-                }
-                let pairs: Vec<WeightedPair> = top
-                    .into_sorted_vec()
-                    .into_iter()
-                    .map(|(w, r)| WeightedPair {
-                        a: r.0 .0,
-                        b: r.0 .1,
-                        weight: w.0,
-                    })
-                    .collect();
-                PrunedComparisons::from_weighted_pairs(pairs, scheme, total_pairs)
-            }
-            Pruning::Wnp { reciprocal } => {
-                let mut kept = Vec::new();
-                let mut weights: Vec<f64> = Vec::new();
-                for (a, row) in rows.iter().enumerate() {
-                    if row.is_empty() {
-                        continue;
-                    }
-                    weights.clear();
-                    weights.extend(row.iter().map(|&(_, w)| w));
-                    let threshold = mean(&weights);
-                    for &(y, w) in row {
-                        if w >= threshold && w > 0.0 {
-                            kept.push(normalised(a as u32, y, w));
-                        }
-                    }
-                }
-                kept.sort_unstable_by_key(|x| (x.a, x.b));
-                PrunedComparisons::from_weighted_pairs(
-                    combine_votes(kept, reciprocal),
-                    scheme,
-                    total_pairs,
-                )
-            }
-            Pruning::Cnp { reciprocal, k } => {
-                let active_nodes = rows.iter().filter(|r| !r.is_empty()).count();
-                let k = k.unwrap_or_else(|| {
-                    prune::default_cnp_k_from(snapshot.total_assignments(), active_nodes)
-                });
-                if k == 0 {
-                    return PrunedComparisons::empty(scheme, total_pairs);
-                }
-                let mut kept = Vec::new();
-                for (a, row) in rows.iter().enumerate() {
-                    if row.is_empty() {
-                        continue;
-                    }
-                    let mut top: TopK<(OrdF64, std::cmp::Reverse<(EntityId, EntityId)>)> =
-                        TopK::new(k);
-                    for &(y, w) in row {
-                        if w > 0.0 {
-                            let p = normalised(a as u32, y, w);
-                            top.push((OrdF64(w), std::cmp::Reverse((p.a, p.b))));
-                        }
-                    }
-                    for (w, r) in top.into_sorted_vec() {
-                        kept.push(WeightedPair {
-                            a: r.0 .0,
-                            b: r.0 .1,
-                            weight: w.0,
-                        });
-                    }
-                }
-                kept.sort_unstable_by_key(|x| (x.a, x.b));
-                PrunedComparisons::from_weighted_pairs(
-                    combine_votes(kept, reciprocal),
-                    scheme,
-                    total_pairs,
-                )
-            }
-            Pruning::Blast { .. } | Pruning::Supervised(_) => {
-                unreachable!("assemble is only called for delta-supported pruning families")
-            }
-        }
+    /// One full sweep re-seeding every cached row.
+    fn reseed(&mut self, snapshot: &BlockCollection, threads: usize) {
+        let all: Vec<EntityId> = (0..self.rows.len() as u32).map(EntityId).collect();
+        resweep_rows(
+            self.scheme,
+            &self.pool,
+            &mut self.rows,
+            &mut self.sorted_len,
+            snapshot,
+            &all,
+            threads,
+        );
+        self.rows_valid = true;
+        probe::record_full_resweep();
+    }
+}
+
+/// The incremental backend's row producer: the patched row cache itself,
+/// read in place. Valid only after [`IncrementalSession::refresh_rows`],
+/// so each row is sorted and duplicate-free — the shape a fresh sweep
+/// produces.
+struct CachedRows<'r>(&'r [Vec<(u32, f64)>]);
+
+impl CachedRows<'_> {
+    /// Cost-balanced entity ranges for `threads` workers (cost: row
+    /// length).
+    fn ranges(&self, threads: usize) -> Vec<Range<usize>> {
+        let costs: Vec<u64> = self.0.iter().map(|r| r.len() as u64 + 1).collect();
+        partition_by_cost(&costs, threads)
     }
 
-    /// Full re-sweep fallback: the streaming session bodies on a fresh
-    /// sweep state over the current snapshot.
-    fn full_outcome(&self, snapshot: &BlockCollection, threads: usize) -> PrunedComparisons {
-        let mut st = SweepState::new(snapshot);
-        match self.pruning {
-            Pruning::None => {
-                let (pairs, fwd) = streaming::weighted_edges_session(&mut st, self.scheme, threads);
-                PrunedComparisons {
-                    pairs,
-                    scheme: self.scheme,
-                    input_edges: fwd as usize,
-                }
+    /// The cardinality defaults' aggregates, read off the rows.
+    fn corpus(&self, snapshot: &BlockCollection) -> Corpus {
+        Corpus {
+            total_assignments: snapshot.total_assignments(),
+            active_nodes: self.0.iter().filter(|r| !r.is_empty()).count(),
+        }
+    }
+}
+
+impl Rows<f64> for CachedRows<'_> {
+    fn visit(&self, range: Range<usize>, forward: bool, f: &mut Visit<'_, f64>) {
+        for a in range {
+            let row = &self.0[a][..];
+            let row = if forward {
+                &row[row.partition_point(|&(y, _)| y <= a as u32)..]
+            } else {
+                row
+            };
+            if !row.is_empty() {
+                f(a as u32, row);
             }
-            Pruning::Wep => streaming::wep_session(&mut st, self.scheme, threads),
-            Pruning::Cep(k) => streaming::cep_session(&mut st, self.scheme, k, threads),
-            Pruning::Wnp { reciprocal } => {
-                streaming::wnp_session(&mut st, self.scheme, reciprocal, threads)
-            }
-            Pruning::Cnp { reciprocal, k } => {
-                streaming::cnp_session(&mut st, self.scheme, reciprocal, k, threads)
-            }
-            Pruning::Blast { ratio } => streaming::blast_session(&mut st, ratio, threads),
-            Pruning::Supervised(model) => streaming::supervised_session(&mut st, &model, threads),
         }
     }
 }
@@ -819,6 +583,7 @@ fn resweep_rows(
         .collect();
     let ranges = partition_by_cost(&costs, threads.max(1));
     let mut fresh: Vec<Vec<(u32, f64)>> = vec![Vec::new(); targets.len()];
+    let weights = Weights::Scheme(scheme);
     {
         let globals = WeightGlobals::basic(snapshot);
         let globals = &globals;
@@ -828,19 +593,13 @@ fn resweep_rows(
                 let r = r.clone();
                 s.spawn(move || {
                     pool.with(|scratch| {
-                        let mut weights: Vec<f64> = Vec::new();
                         for i in r.clone() {
-                            let e = targets[i];
-                            scratch.sweep(snapshot, e);
-                            neighbour_weights(scheme, scratch, e.0, globals, &mut weights);
-                            let row = &mut chunk[i - r.start];
-                            row.extend(
-                                scratch
-                                    .neighbours()
-                                    .iter()
-                                    .copied()
-                                    .zip(weights.iter().copied()),
-                            );
+                            let e = targets[i].0;
+                            scratch.sweep(snapshot, EntityId(e));
+                            chunk[i - r.start].extend(scratch.neighbours().iter().map(|&y| {
+                                let (lo, hi) = if e < y { (e, y) } else { (y, e) };
+                                (y, weights.of_sweep(scratch, globals, y, lo, hi))
+                            }));
                         }
                     });
                 });

@@ -1,10 +1,9 @@
 //! The shared neighbourhood-stats → edge-weight kernel.
 //!
-//! Every execution backend — the materialised pruners over the CSR graph
-//! ([`crate::prune`] via [`WeightingScheme::weight`]), the streaming sweeps
-//! ([`crate::streaming`]) and the MapReduce formulations
-//! ([`crate::parallel`]) — must produce *bit-identical* f64 weights. That
-//! only holds if the arithmetic lives in exactly one place: f64
+//! Every execution backend — the CSR graph's rows (via
+//! [`WeightingScheme::weight`]), the streaming sweeps and the MapReduce
+//! formulations ([`crate::parallel`]) — must produce *bit-identical* f64
+//! weights. That only holds if the arithmetic lives in exactly one place: f64
 //! multiplication chains are association-order sensitive at the ulp level
 //! (ECBS/EJS multiply per-endpoint log factors), so three copies of the
 //! same formula drift the moment one is edited. This module is that single
@@ -19,12 +18,14 @@
 //!   `|B|`, and — for EJS — node degrees and `|V|`). Owned and cached
 //!   across runs by [`Session`](crate::Session)'s sweep state, so a
 //!   scheme sweep computes them once.
-//! * Crate-internal sweep-side helpers (`edge_weight`, `forward_weight`,
-//!   `neighbour_weights`, `combine_votes`) shared by the streaming and
-//!   MapReduce paths, which both reconstruct a node's incident statistics
-//!   with the epoch-reset `SweepScratch` and must iterate neighbours in
-//!   the same ascending order the edge slab is sorted in.
+//! * Crate-internal sweep-side helpers (`edge_weight`, `Weights`,
+//!   `combine_votes`) shared by every sweep-based row producer, which
+//!   reconstructs a node's incident statistics with the epoch-reset
+//!   `SweepScratch` and iterates neighbours in the same ascending order
+//!   the edge slab is sorted in.
 
+use crate::blast::{chi_square_from_stats, chi_square_weights};
+use crate::graph::BlockingGraph;
 use crate::prune::WeightedPair;
 use crate::sweep::SweepScratch;
 use crate::weights::WeightingScheme;
@@ -162,33 +163,49 @@ pub(crate) fn edge_weight(
     )
 }
 
-/// Weight of the forward edge `(a, y)` (`a < y`) from the current
-/// sweep's stats — [`edge_weight`] with the endpoints already normalised.
-pub(crate) fn forward_weight(
-    scheme: WeightingScheme,
-    scratch: &SweepScratch,
-    a: u32,
-    y: u32,
-    globals: &WeightGlobals,
-) -> f64 {
-    edge_weight(scheme, scratch, globals, y, a, y)
+/// What a row's f64 entries weigh: a scheme's edge weight, or BLAST's
+/// χ² statistic.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) enum Weights {
+    /// The weighting scheme's edge weight.
+    Scheme(WeightingScheme),
+    /// BLAST's Pearson χ² over the block contingency table.
+    Chi2,
 }
 
-/// Computes the weights of the current sweep's neighbours into `out`
-/// (ascending neighbour order — the same order the materialised path
-/// iterates a node's incident edges in, so local f64 means agree bitwise).
-pub(crate) fn neighbour_weights(
-    scheme: WeightingScheme,
-    scratch: &SweepScratch,
-    a: u32,
-    globals: &WeightGlobals,
-    out: &mut Vec<f64>,
-) {
-    out.clear();
-    out.reserve(scratch.neighbours().len());
-    for &y in scratch.neighbours() {
-        let (lo, hi) = if a < y { (a, y) } else { (y, a) };
-        out.push(edge_weight(scheme, scratch, globals, y, lo, hi));
+impl Weights {
+    /// Whether weighing reads the counted globals (degrees, |V|).
+    pub(crate) fn needs_counts(self) -> bool {
+        self == Weights::Scheme(WeightingScheme::Ejs)
+    }
+
+    /// The weight of every edge of `graph`, aligned with `graph.edges()`.
+    pub(crate) fn all(self, graph: &BlockingGraph) -> Vec<f64> {
+        match self {
+            Weights::Scheme(scheme) => scheme.all_weights(graph),
+            Weights::Chi2 => chi_square_weights(graph),
+        }
+    }
+
+    /// The weight of the current sweep's edge to neighbour `y`, with
+    /// `(lo, hi)` its endpoints in normalised order.
+    pub(crate) fn of_sweep(
+        self,
+        scratch: &SweepScratch,
+        globals: &WeightGlobals,
+        y: u32,
+        lo: u32,
+        hi: u32,
+    ) -> f64 {
+        match self {
+            Weights::Scheme(scheme) => edge_weight(scheme, scratch, globals, y, lo, hi),
+            Weights::Chi2 => chi_square_from_stats(
+                scratch.cbs_of(y),
+                globals.blocks_of[lo as usize],
+                globals.blocks_of[hi as usize],
+                globals.num_blocks,
+            ),
+        }
     }
 }
 
@@ -202,11 +219,12 @@ pub(crate) fn normalised(a: u32, y: u32, w: f64) -> WeightedPair {
     }
 }
 
-/// Combines per-node votes on the kept set: union keeps pairs emitted by
-/// ≥ 1 endpoint, reciprocal by both. Input must be sorted by pair.
-pub(crate) fn combine_votes(kept: Vec<WeightedPair>, reciprocal: bool) -> Vec<WeightedPair> {
+/// Combines per-node votes on the kept set, in place: union keeps pairs
+/// emitted by ≥ 1 endpoint, reciprocal by both. An edge's votes must be
+/// adjacent (any order that sorts by pair, or the presentation order).
+pub(crate) fn combine_votes(kept: &mut Vec<WeightedPair>, reciprocal: bool) {
     let need = if reciprocal { 2 } else { 1 };
-    let mut out: Vec<WeightedPair> = Vec::with_capacity(kept.len());
+    let mut out = 0;
     let mut i = 0;
     while i < kept.len() {
         let mut j = i + 1;
@@ -214,11 +232,12 @@ pub(crate) fn combine_votes(kept: Vec<WeightedPair>, reciprocal: bool) -> Vec<We
             j += 1;
         }
         if j - i >= need {
-            out.push(kept[i]);
+            kept[out] = kept[i];
+            out += 1;
         }
         i = j;
     }
-    out
+    kept.truncate(out);
 }
 
 #[cfg(test)]
@@ -262,9 +281,11 @@ mod tests {
             weight: 1.0,
         };
         let kept = vec![p(0, 1), p(0, 1), p(0, 2), p(1, 3)];
-        let union = combine_votes(kept.clone(), false);
+        let mut union = kept.clone();
+        combine_votes(&mut union, false);
         assert_eq!(union.len(), 3);
-        let recip = combine_votes(kept, true);
+        let mut recip = kept;
+        combine_votes(&mut recip, true);
         assert_eq!(recip.len(), 1);
         assert_eq!((recip[0].a, recip[0].b), (EntityId(0), EntityId(1)));
     }

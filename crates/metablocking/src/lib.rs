@@ -57,46 +57,59 @@
 //! # Execution backends
 //!
 //! Meta-blocking is the pipeline's hot path, and every session runs on
-//! one of three backends, selected by [`ExecutionBackend`]:
+//! one of three backends, selected by [`ExecutionBackend`]. A backend
+//! only decides where the pruning core's *rows* — each entity's sorted,
+//! weighted neighbourhood — come from:
 //!
-//! * **Materialised** — build the [`BlockingGraph`] first, then prune it.
-//!   The graph lives in flat CSR slabs (edge records sorted by pair, plus
-//!   `offsets`/`edge-index` adjacency arrays); construction is a two-pass
+//! * **Materialised** — build the [`BlockingGraph`] first and read the
+//!   rows off its CSR slabs (edge records sorted by pair, plus
+//!   `offsets`/`edge-index` adjacency arrays). Construction is a two-pass
 //!   counting sort over node-centric sweeps, parallelised over entity
 //!   ranges with scoped threads, with no hash map anywhere. The choice
 //!   for anything that needs random access to the whole edge set or
 //!   reuses one graph across many pruning runs.
-//! * **Streaming** — *every* pruning family runs without the global edge
-//!   slab: [`streaming`] sweeps the collection entity by entity,
+//! * **Streaming** — sweep the collection entity by entity,
 //!   reconstructing each node's incident statistics in dense epoch-reset
-//!   accumulators, and emits only the kept pairs. The node-centric
-//!   algorithms (WNP, CNP, BLAST) prune per neighbourhood; the global
-//!   criteria reduce deterministically — WEP via a fixed-shape pairwise
-//!   mean, CEP via per-thread bounded top-k heaps merged under a strict
-//!   total order, the supervised feature maxima via exact f64 `max`.
+//!   accumulators; no pruning family ever builds the global edge slab.
 //! * **MapReduce** — the paper's distributed formulation (reference
-//!   \[4\]) on [`minoan_mapreduce`]: [`parallel`] runs every pruning
-//!   family as *entity-partitioned* jobs that map over entity ranges,
-//!   rebuild each node's weighted neighbourhood with the same sweep
-//!   kernel, and apply the pruning criterion reducer-side — shuffling at
-//!   most one record per entity neighbourhood instead of one per pair
-//!   occurrence (the edge-based strategy, kept as a baseline). These runs
-//!   also fill [`PruneOutcome::report`] with per-job [`JobReport`] stats.
+//!   \[4\]) on [`minoan_mapreduce`]: [`parallel`] builds the rows
+//!   map-side over entity ranges and applies the criterion folds and
+//!   decisions in combiners and reducers — shuffling at most one record
+//!   per entity row instead of one per pair occurrence (the edge-based
+//!   strategy, kept as a baseline). These runs also fill
+//!   [`PruneOutcome::report`] with per-job [`JobReport`] stats.
 //!
 //! Output is bit-identical across all three backends for every method,
 //! scheme, variant, thread count and worker count (enforced by property
-//! tests), and session-state reuse never changes a bit either
+//! tests against reference implementations kept in the test tree), and
+//! session-state reuse never changes a bit either
 //! (`tests/session_reuse.rs`); every f64 weight is computed through the
 //! single [`kernel::weight_from_stats`] body.
 //!
 //! # Modules
 //!
-//! * [`session`] — the [`Session`] entry point described above.
+//! * [`prune`] — the pruning core: [`Pruning`], and every family written
+//!   once as a criterion step (WEP's positive-weight mean, CEP's bounded
+//!   top-k, CNP's default `k`, the supervised feature maxima) plus a
+//!   per-row decision (WNP's row mean, CNP's row top-k, BLAST's
+//!   `ratio ·` row maximum, the edge-centric filters), over rows from any
+//!   backend; also the output types [`PrunedComparisons`] and
+//!   [`WeightedPair`] and the default-k helpers.
+//! * [`session`] — the [`Session`] entry point described above: picks the
+//!   row producer for the configured backend and caches its state.
 //! * [`incremental`] — the *updatable* arm: [`IncrementalSession`]
 //!   ingests description batches through the delta-appendable block
-//!   slabs and patches a per-entity weight-row cache by re-sweeping only
-//!   the dirty entities, keeping its [`PruneOutcome`] bit-identical to a
-//!   from-scratch run on the merged corpus.
+//!   slabs and patches a per-entity row cache by re-sweeping only the
+//!   dirty entities; the pruning core reads that cache as its rows,
+//!   keeping the [`PruneOutcome`] bit-identical to a from-scratch run on
+//!   the merged corpus.
+//! * [`query`] — query-time resolution: one entity's rows through the same
+//!   per-row decisions ([`Session::resolve_entity`],
+//!   [`IncrementalSession::resolve_entity`]), bit-identical to the
+//!   incident slice of a full run, plus the [`NeighbourhoodCache`]
+//!   backing the resolution server.
+//! * [`parallel`] — the MapReduce backend (entity-based jobs and the
+//!   edge-based baseline [`parallel::parallel_edge_weights`]).
 //! * [`graph`] — the CSR blocking graph: one node per description, one
 //!   edge per *distinct* comparable pair, annotated with co-occurrence
 //!   statistics.
@@ -104,29 +117,11 @@
 //!   backends compute through.
 //! * [`weights`] — the five standard edge-weighting schemes (CBS, ECBS,
 //!   JS, EJS, ARCS).
-//! * [`prune`] — the materialised pruning bodies over a built graph,
-//!   plus the output type [`PrunedComparisons`] and the default-k
-//!   helpers.
-//! * [`streaming`] — the on-the-fly backend described above.
-//! * [`blast`](mod@blast) — BLAST's χ² weighting with loose per-node
-//!   pruning.
-//! * [`parallel`] — the MapReduce formulations of reference \[4\]
-//!   (entity-based and edge-based strategies) on [`minoan_mapreduce`].
+//! * [`blast`](mod@blast) — BLAST's χ² weighting.
 //! * [`supervised`] — perceptron-based supervised meta-blocking
 //!   (training, features, batched extraction).
-//! * [`query`] — query-time resolution: single-entity neighbourhood
-//!   sweeps ([`Session::resolve_entity`],
-//!   [`IncrementalSession::resolve_entity`]) bit-identical to the
-//!   incident slice of a full run, plus the [`NeighbourhoodCache`]
-//!   backing the resolution server.
 //! * [`probe`] — build/allocation counters backing the state-reuse
 //!   assertions.
-//!
-//! The per-backend free functions that predate the session
-//! (`prune::wnp`, `streaming::cep`, `parallel::wep_with_report`, …) still
-//! exist as `#[doc(hidden)]` shims over the session bodies: the
-//! cross-backend equivalence suites pin bit-identity against them, but
-//! new code should go through [`Session`].
 
 #![forbid(unsafe_code)]
 
@@ -139,35 +134,29 @@ pub mod probe;
 pub mod prune;
 pub mod query;
 pub mod session;
-pub mod streaming;
 pub mod supervised;
 mod sweep;
 pub mod weights;
 
-#[doc(hidden)]
-pub use blast::blast;
 pub use blast::{chi_square_weight, chi_square_weights};
 pub use graph::{BlockingGraph, Edge};
 pub use incremental::{IncrementalSession, IngestReport};
 pub use parallel::JobReport;
-pub use prune::{PrunedComparisons, WeightedPair};
+pub use prune::{PrunedComparisons, Pruning, WeightedPair};
 pub use query::{locally_invalidatable, NeighbourhoodCache, ResolvedEntity};
-pub use session::{PruneOutcome, Pruning, Session};
-pub use streaming::StreamingOptions;
-#[doc(hidden)]
-pub use supervised::supervised_prune;
+pub use session::{PruneOutcome, Session};
 pub use supervised::{EdgeFeatures, FeatureExtractor, Perceptron, TrainingSet};
 pub use weights::WeightingScheme;
 
 /// Which execution path meta-blocking runs on.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ExecutionBackend {
-    /// Build the CSR blocking graph, then prune it ([`prune`]).
+    /// Build the CSR blocking graph, then prune its rows.
     #[default]
     Materialized,
     /// Streaming sweeps; the global edge set is never materialised for
     /// *any* pruning method (node-centric WNP/CNP/BLAST and edge-centric
-    /// WEP/CEP alike) — see [`streaming`].
+    /// WEP/CEP alike).
     Streaming,
     /// Entity-partitioned MapReduce jobs on [`minoan_mapreduce`] — see
     /// [`parallel`]. The worker count is configured on the engine (or the
@@ -203,10 +192,6 @@ impl ExecutionBackend {
         }
     }
 }
-
-/// The pre-PR-3 name of [`ExecutionBackend`], kept so existing two-way
-/// call sites keep compiling; the MapReduce variant makes it three-way.
-pub type GraphBackend = ExecutionBackend;
 
 /// The one definition of "bit-identical pruning output" the in-crate
 /// equivalence tests assert: same input-edge count, same pair order,

@@ -8,9 +8,11 @@
 //! [`Session::workers`]), and every [`Session::run`] returns the same
 //! unified [`PruneOutcome`] whichever combination is selected.
 //!
-//! What makes it a session rather than a dispatcher is the **owned shared
-//! state**: the CSR [`BlockingGraph`] (and the supervised feature slab)
-//! for the materialised backend, and the sweep state — cost-balanced
+//! Every combination runs through the one pruning core
+//! ([`prune`](mod@crate::prune)); a backend only decides where the rows come
+//! from. What makes the session more than a dispatcher is the **owned
+//! shared state**: the CSR [`BlockingGraph`] for the materialised
+//! backend, and the sweep state — cost-balanced
 //! entity ranges, [`kernel`](crate::kernel) weight globals, the scratch
 //! pool — for the streaming and MapReduce backends. All of it is built
 //! lazily on first use and reused by every subsequent run, so sweeping
@@ -21,84 +23,17 @@
 //! Reuse never changes results: every combination stays bit-identical to
 //! a fresh single-shot run (enforced in `tests/session_reuse.rs`).
 
-use crate::blast;
-use crate::graph::BlockingGraph;
+use crate::graph::{BlockingGraph, GraphRows};
 use crate::parallel::{self, JobReport};
-use crate::prune::{self, PrunedComparisons, WeightedPair};
-use crate::query::{self, Criterion, ResolvedEntity, SweepRows};
-use crate::streaming;
-use crate::supervised::{self, EdgeFeatures, FeatureExtractor, Perceptron};
+use crate::prune::{self, Corpus, PrunedComparisons, Pruning, Rule, WeightedPair};
+use crate::query::{self, ResolvedEntity};
+use crate::supervised;
 use crate::sweep::{default_threads, SweepState};
 use crate::weights::WeightingScheme;
 use crate::ExecutionBackend;
 use minoan_blocking::BlockCollection;
 use minoan_mapreduce::Engine;
 use minoan_rdf::EntityId;
-
-/// Which pruning family a session run applies — the full catalogue,
-/// including BLAST and the supervised pruner, each runnable on every
-/// [`ExecutionBackend`].
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum Pruning {
-    /// No pruning: every blocking-graph edge survives, weighted, in pair
-    /// order (the order the edge slab is sorted in).
-    None,
-    /// Weighted edge pruning: keep edges at or above the global mean
-    /// weight (over positive-weight edges).
-    Wep,
-    /// Cardinality edge pruning: keep the global top-k edges by weight
-    /// (`None` = the literature default `BC / 2`).
-    Cep(Option<usize>),
-    /// Weighted node pruning; `reciprocal` = intersection variant.
-    Wnp {
-        /// Both endpoints must retain the edge.
-        reciprocal: bool,
-    },
-    /// Cardinality node pruning; per-node `k` (`None` = default).
-    Cnp {
-        /// Both endpoints must retain the edge.
-        reciprocal: bool,
-        /// Per-node cardinality override.
-        k: Option<usize>,
-    },
-    /// BLAST: χ² weighting with loose ratio-of-local-max pruning. The
-    /// weighting scheme setting is ignored (χ² replaces it).
-    Blast {
-        /// Keep edges with weight ≥ `ratio ·` either endpoint's local
-        /// maximum; must be in `(0, 1]`.
-        ratio: f64,
-    },
-    /// Supervised pruning with a trained perceptron over the 7-feature
-    /// edge vectors. The weighting scheme setting is ignored (all five
-    /// schemes enter the feature vector).
-    Supervised(Perceptron),
-}
-
-impl Pruning {
-    /// BLAST at its recommended default keep ratio.
-    pub fn blast() -> Self {
-        Pruning::Blast {
-            ratio: blast::DEFAULT_RATIO,
-        }
-    }
-
-    /// The unsupervised families at their defaults, for sweep
-    /// experiments ([`Pruning::Supervised`] needs a trained model, so it
-    /// is not listed).
-    pub const FAMILIES: [Pruning; 6] = [
-        Pruning::None,
-        Pruning::Wep,
-        Pruning::Cep(None),
-        Pruning::Wnp { reciprocal: false },
-        Pruning::Cnp {
-            reciprocal: false,
-            k: None,
-        },
-        Pruning::Blast {
-            ratio: blast::DEFAULT_RATIO,
-        },
-    ];
-}
 
 /// The unified result of one [`Session::run`]: the pruned comparisons
 /// plus — when the MapReduce backend ran — the per-job execution
@@ -115,13 +50,6 @@ pub struct PruneOutcome {
 }
 
 impl PruneOutcome {
-    fn local(pruned: PrunedComparisons) -> Self {
-        Self {
-            pruned,
-            report: JobReport::default(),
-        }
-    }
-
     /// The retained pairs (see [`PrunedComparisons::pairs`] for the
     /// ordering contract per family).
     pub fn pairs(&self) -> &[WeightedPair] {
@@ -192,11 +120,10 @@ pub struct Session<'c> {
     workers: Option<usize>,
     // Cached shared state, built lazily and reused across runs.
     graph: Option<BlockingGraph>,
-    features: Option<(FeatureExtractor, Vec<EdgeFeatures>)>,
     sweep: SweepState<'c>,
-    // Query-time pruning criterion, keyed by the scheme × pruning it was
-    // built for (resolve_entity rebuilds it on a config switch).
-    criterion: Option<((WeightingScheme, Pruning), Criterion)>,
+    // Query-time rule, keyed by the scheme × pruning it was built for
+    // (resolve_entity rebuilds it on a config switch).
+    rule: Option<((WeightingScheme, Pruning), Rule)>,
 }
 
 impl<'c> Session<'c> {
@@ -210,9 +137,8 @@ impl<'c> Session<'c> {
             backend: ExecutionBackend::Materialized,
             workers: None,
             graph: None,
-            features: None,
             sweep: SweepState::new(collection),
-            criterion: None,
+            rule: None,
         }
     }
 
@@ -268,10 +194,35 @@ impl<'c> Session<'c> {
     /// Runs the configured scheme × pruning × backend combination,
     /// reusing every piece of shared state previous runs already built.
     pub fn run(&mut self) -> PruneOutcome {
-        match self.backend {
-            ExecutionBackend::Materialized => self.run_materialized(),
-            ExecutionBackend::Streaming => self.run_streaming(),
-            ExecutionBackend::MapReduce => self.run_mapreduce(),
+        let (scheme, pruning, threads) = (self.scheme, self.pruning, self.threads());
+        let pruned = match self.backend {
+            ExecutionBackend::Materialized => {
+                let graph = self.graph();
+                if let Pruning::Supervised(model) = pruning {
+                    let rows = GraphRows::new(graph, supervised::raw_features_all(graph));
+                    prune::run_supervised(&rows, &rows.ranges(threads), model)
+                } else {
+                    let rows = GraphRows::new(graph, pruning.weights(scheme).all(graph));
+                    let corpus = Corpus {
+                        total_assignments: graph.total_assignments(),
+                        active_nodes: graph.active_nodes(),
+                    };
+                    prune::run(&rows, &rows.ranges(threads), &pruning, scheme, corpus)
+                }
+            }
+            ExecutionBackend::Streaming => self.sweep.run(scheme, &pruning, threads),
+            ExecutionBackend::MapReduce => {
+                let engine = match self.workers {
+                    Some(w) => Engine::new(w),
+                    None => Engine::default(),
+                };
+                let (pruned, report) = parallel::run(&mut self.sweep, scheme, &pruning, &engine);
+                return PruneOutcome { pruned, report };
+            }
+        };
+        PruneOutcome {
+            pruned,
+            report: JobReport::default(),
         }
     }
 
@@ -281,7 +232,7 @@ impl<'c> Session<'c> {
     /// single neighbourhood sweep instead of a corpus pass.
     ///
     /// The pruning family's *global* inputs (WEP's mean threshold,
-    /// CEP's top-k, CNP's default `k`, the supervised feature maxima)
+    /// CEP's top-k bar, CNP's default `k`, the supervised feature maxima)
     /// are computed once per scheme × pruning configuration and cached
     /// on the session, so repeated resolves cost one entity sweep each,
     /// plus lazy neighbour-row sweeps where the node-centric vote needs
@@ -323,133 +274,15 @@ impl<'c> Session<'c> {
             (entity.0 as usize) < self.collection.num_entities(),
             "resolve_entity: entity id out of range"
         );
-        let scheme = self.scheme;
-        let pruning = self.pruning;
-        let threads = self.threads();
-        let cached = matches!(&self.criterion, Some((key, _)) if *key == (scheme, pruning));
-        if !cached {
-            let crit = query::build_criterion(&mut self.sweep, scheme, &pruning, threads);
-            self.criterion = Some(((scheme, pruning), crit));
+        let key = (self.scheme, self.pruning);
+        if !matches!(&self.rule, Some((k, _)) if *k == key) {
+            let rule = self.sweep.rule(self.scheme, &self.pruning, self.threads());
+            self.rule = Some((key, rule));
         }
-        let (_, criterion) = self.criterion.as_ref().expect("criterion just ensured");
+        let (_, rule) = self.rule.as_ref().expect("rule just ensured");
         let st = &self.sweep;
-        match (&pruning, criterion) {
-            (Pruning::Supervised(model), Criterion::Supervised(extractor)) => {
-                query::resolve_supervised(
-                    st.collection,
-                    st.globals(),
-                    &st.pool,
-                    extractor,
-                    model,
-                    entity,
-                )
-            }
-            (Pruning::Blast { .. }, _) => {
-                let mut rows = SweepRows::chi2(st.collection, st.globals(), &st.pool);
-                query::resolve_rows(&mut rows, entity, pruning, criterion)
-            }
-            _ => {
-                let mut rows = SweepRows::scheme(st.collection, st.globals(), &st.pool, scheme);
-                query::resolve_rows(&mut rows, entity, pruning, criterion)
-            }
-        }
-    }
-
-    fn run_materialized(&mut self) -> PruneOutcome {
-        let scheme = self.scheme;
-        let pruning = self.pruning;
-        self.graph();
-        if matches!(pruning, Pruning::Supervised(_)) && self.features.is_none() {
-            let graph = self.graph.as_ref().expect("graph just ensured");
-            self.features = Some(FeatureExtractor::fit_extract_all(graph));
-        }
-        let graph = self.graph.as_ref().expect("graph just ensured");
-        let pruned = match pruning {
-            Pruning::None => {
-                let pairs = graph
-                    .edges()
-                    .iter()
-                    .map(|e| WeightedPair {
-                        a: e.a,
-                        b: e.b,
-                        weight: scheme.weight(graph, e),
-                    })
-                    .collect();
-                PrunedComparisons {
-                    pairs,
-                    scheme,
-                    input_edges: graph.num_edges(),
-                }
-            }
-            Pruning::Wep => prune::wep(graph, scheme),
-            Pruning::Cep(k) => prune::cep(graph, scheme, k),
-            Pruning::Wnp { reciprocal } => prune::wnp(graph, scheme, reciprocal),
-            Pruning::Cnp { reciprocal, k } => prune::cnp(graph, scheme, reciprocal, k),
-            Pruning::Blast { ratio } => blast::blast(graph, ratio),
-            Pruning::Supervised(model) => {
-                let (_, features) = self.features.as_ref().expect("features just ensured");
-                supervised::prune_with_features(graph, features, &model)
-            }
-        };
-        PruneOutcome::local(pruned)
-    }
-
-    fn run_streaming(&mut self) -> PruneOutcome {
-        let scheme = self.scheme;
-        let threads = self.threads();
-        let st = &mut self.sweep;
-        let pruned = match self.pruning {
-            Pruning::None => {
-                let (pairs, fwd) = streaming::weighted_edges_session(st, scheme, threads);
-                let input_edges = fwd as usize;
-                PrunedComparisons {
-                    pairs,
-                    scheme,
-                    input_edges,
-                }
-            }
-            Pruning::Wep => streaming::wep_session(st, scheme, threads),
-            Pruning::Cep(k) => streaming::cep_session(st, scheme, k, threads),
-            Pruning::Wnp { reciprocal } => streaming::wnp_session(st, scheme, reciprocal, threads),
-            Pruning::Cnp { reciprocal, k } => {
-                streaming::cnp_session(st, scheme, reciprocal, k, threads)
-            }
-            Pruning::Blast { ratio } => streaming::blast_session(st, ratio, threads),
-            Pruning::Supervised(model) => streaming::supervised_session(st, &model, threads),
-        };
-        PruneOutcome::local(pruned)
-    }
-
-    fn run_mapreduce(&mut self) -> PruneOutcome {
-        let scheme = self.scheme;
-        let engine = match self.workers {
-            Some(w) => Engine::new(w),
-            None => Engine::default(),
-        };
-        let st = &mut self.sweep;
-        let (pruned, report) = match self.pruning {
-            Pruning::None => {
-                let (pairs, report) = parallel::weighted_edges_session(st, scheme, &engine);
-                let input_edges = pairs.len();
-                (
-                    PrunedComparisons {
-                        pairs,
-                        scheme,
-                        input_edges,
-                    },
-                    report,
-                )
-            }
-            Pruning::Wep => parallel::wep_session(st, scheme, &engine),
-            Pruning::Cep(k) => parallel::cep_session(st, scheme, k, &engine),
-            Pruning::Wnp { reciprocal } => parallel::wnp_session(st, scheme, reciprocal, &engine),
-            Pruning::Cnp { reciprocal, k } => {
-                parallel::cnp_session(st, scheme, reciprocal, k, &engine)
-            }
-            Pruning::Blast { ratio } => parallel::blast_session(st, ratio, &engine),
-            Pruning::Supervised(model) => parallel::supervised_session(st, &model, &engine),
-        };
-        PruneOutcome { pruned, report }
+        let weights = self.pruning.weights(self.scheme);
+        query::resolve_swept(st.collection, st.globals(), &st.pool, weights, rule, entity)
     }
 }
 

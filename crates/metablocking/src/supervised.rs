@@ -17,24 +17,25 @@
 //! 2. [`TrainingSet::sample`] — a balanced labelled sample drawn
 //!    deterministically from a ground-truth oracle.
 //! 3. [`Perceptron`] — averaged-perceptron training and scoring.
-//! 4. `supervised_prune` — keeps the edges the model classifies as likely
-//!    matches; surviving edges are weighted by the decision margin, so
-//!    downstream progressive scheduling still gets a ranking. Reachable
-//!    from every backend through
-//!    [`Pruning::Supervised`](crate::Pruning::Supervised) on a
-//!    [`Session`](crate::Session); the sweep backends recompute the same
-//!    features through the shared weight kernel, so all three backends
-//!    stay bit-identical.
+//! 4. [`Pruning::Supervised`](crate::Pruning::Supervised) on a
+//!    [`Session`](crate::Session) keeps the edges the model classifies as
+//!    likely matches; surviving edges are weighted by the decision margin,
+//!    so downstream progressive scheduling still gets a ranking. The
+//!    pruning core folds the feature maxima and scores feature rows from
+//!    every backend, and the sweep backends compute the same features
+//!    through the shared weight kernel, so all three stay bit-identical.
 
 use crate::graph::{BlockingGraph, Edge};
 use crate::kernel::{self, WeightGlobals};
-use crate::prune::{PrunedComparisons, WeightedPair};
 use crate::sweep::SweepScratch;
 use crate::weights::WeightingScheme;
 use minoan_rdf::EntityId;
 
 /// Number of features per edge.
 pub const NUM_FEATURES: usize = 7;
+
+/// One edge's raw (unnormalised) feature vector.
+pub(crate) type Features = [f64; NUM_FEATURES];
 
 /// A per-edge feature vector (max-normalised over the graph).
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -137,26 +138,40 @@ fn raw_features(graph: &BlockingGraph, e: &Edge) -> [f64; NUM_FEATURES] {
     ]
 }
 
-/// Raw features of the forward edge `(a, y)` (`a < y`) from the current
-/// sweep's statistics — the sweep-backend twin of `raw_features`. Every
-/// entry goes through the same shared kernel as the materialised path
-/// ([`kernel::weight_from_stats`] per scheme, counted degrees for the
-/// last two slots), so the f64 bits agree across backends. `globals`
-/// must carry the counted tier (degrees + |V|).
-pub(crate) fn raw_forward_features(
+/// The raw feature vector of every edge, aligned with `graph.edges()` —
+/// the materialised backend's feature rows.
+pub(crate) fn raw_features_all(graph: &BlockingGraph) -> Vec<Features> {
+    graph
+        .edges()
+        .iter()
+        .map(|e| raw_features(graph, e))
+        .collect()
+}
+
+/// Raw features of the current sweep's edge to neighbour `y`, with
+/// `(lo, hi)` its endpoints in normalised order — the sweep-backend twin
+/// of `raw_features`. Every entry goes through the same shared kernel as
+/// the materialised path ([`kernel::edge_weight`] per scheme, counted
+/// degrees for the last two slots) and the per-pair statistics are
+/// bitwise endpoint-symmetric, so the f64 bits agree across backends and
+/// at both endpoints. `globals` must carry the counted tier (degrees +
+/// |V|).
+pub(crate) fn raw_features_of(
     scratch: &SweepScratch,
-    a: u32,
-    y: u32,
     globals: &WeightGlobals,
-) -> [f64; NUM_FEATURES] {
+    y: u32,
+    lo: u32,
+    hi: u32,
+) -> Features {
+    let w = |scheme| kernel::edge_weight(scheme, scratch, globals, y, lo, hi);
     [
-        kernel::forward_weight(WeightingScheme::Cbs, scratch, a, y, globals),
-        kernel::forward_weight(WeightingScheme::Ecbs, scratch, a, y, globals),
-        kernel::forward_weight(WeightingScheme::Js, scratch, a, y, globals),
-        kernel::forward_weight(WeightingScheme::Ejs, scratch, a, y, globals),
-        kernel::forward_weight(WeightingScheme::Arcs, scratch, a, y, globals),
-        globals.degrees[a as usize] as f64,
-        globals.degrees[y as usize] as f64,
+        w(WeightingScheme::Cbs),
+        w(WeightingScheme::Ecbs),
+        w(WeightingScheme::Js),
+        w(WeightingScheme::Ejs),
+        w(WeightingScheme::Arcs),
+        globals.degrees[lo as usize] as f64,
+        globals.degrees[hi as usize] as f64,
     ]
 }
 
@@ -336,53 +351,25 @@ impl Perceptron {
     }
 }
 
-/// Keeps the edges the model scores positive; weight = sigmoid(margin), so
-/// the output ranks like the unsupervised pruners. Features come from the
-/// batched [`FeatureExtractor::fit_extract_all`] (one raw-feature pass
-/// over the CSR rows instead of fit-then-extract's two).
-#[doc(hidden)]
-pub fn supervised_prune(graph: &BlockingGraph, model: &Perceptron) -> PrunedComparisons {
-    let (_, features) = FeatureExtractor::fit_extract_all(graph);
-    prune_with_features(graph, &features, model)
-}
-
-/// Scores pre-extracted features (aligned with `graph.edges()`) — the
-/// session path, which caches the feature vectors across models.
-pub(crate) fn prune_with_features(
-    graph: &BlockingGraph,
-    features: &[EdgeFeatures],
-    model: &Perceptron,
-) -> PrunedComparisons {
-    let pairs: Vec<WeightedPair> = graph
-        .edges()
-        .iter()
-        .zip(features)
-        .filter_map(|(e, f)| {
-            let score = model.score(f);
-            if score > 0.0 {
-                Some(WeightedPair {
-                    a: e.a,
-                    b: e.b,
-                    weight: sigmoid(score),
-                })
-            } else {
-                None
-            }
-        })
-        .collect();
-    PrunedComparisons::from_weighted_pairs(pairs, WeightingScheme::Cbs, graph.num_edges())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Pruning, Session};
     use minoan_blocking::{builders, ErMode};
     use minoan_datagen::{generate, profiles};
 
     fn graph_and_truth() -> (BlockingGraph, minoan_datagen::GroundTruth) {
+        let (blocks, truth) = blocks_and_truth();
+        (BlockingGraph::build(&blocks), truth)
+    }
+
+    fn blocks_and_truth() -> (
+        minoan_blocking::BlockCollection,
+        minoan_datagen::GroundTruth,
+    ) {
         let g = generate(&profiles::center_dense(150, 5));
         let blocks = builders::token_blocking(&g.dataset, ErMode::CleanClean);
-        (BlockingGraph::build(&blocks), g.truth)
+        (blocks, g.truth)
     }
 
     #[test]
@@ -485,11 +472,15 @@ mod tests {
 
     #[test]
     fn supervised_prune_beats_random_on_recall_density() {
-        let (graph, truth) = graph_and_truth();
+        let (blocks, truth) = blocks_and_truth();
+        let graph = BlockingGraph::build(&blocks);
         let extractor = FeatureExtractor::fit(&graph);
         let set = TrainingSet::sample(&graph, &extractor, |a, b| truth.is_match(a, b), 50, 11);
         let model = Perceptron::train(&set, 15);
-        let pruned = supervised_prune(&graph, &model);
+        let pruned = Session::new(&blocks)
+            .pruning(Pruning::Supervised(model))
+            .run()
+            .pruned;
         assert!(!pruned.pairs.is_empty(), "model kept nothing");
         // Precision of retained pairs should exceed the graph's base rate.
         let base_rate = graph
@@ -524,6 +515,9 @@ mod tests {
         let set = TrainingSet::sample(&graph, &extractor, |_, _| false, 10, 3);
         assert!(set.is_empty());
         let model = Perceptron::train(&set, 5);
-        assert!(supervised_prune(&graph, &model).pairs.is_empty());
+        let out = Session::new(&empty)
+            .pruning(Pruning::Supervised(model))
+            .run();
+        assert!(out.pairs().is_empty());
     }
 }

@@ -1,5 +1,6 @@
 //! The node-centric co-occurrence sweep shared by the CSR graph build and
-//! the streaming pruners.
+//! the streaming and MapReduce backends — and, as [`SweepRows`], the
+//! streaming backend's row producer.
 //!
 //! For one entity `a`, a sweep visits every block containing `a` (in
 //! ascending block-id order) and every comparable co-member, accumulating
@@ -11,13 +12,16 @@
 //!
 //! Because blocks are visited in ascending id order, the f64 ARCS sums are
 //! accumulated in exactly the order the materialised graph build uses —
-//! which is what makes the streaming pruning paths *bit-identical* to the
-//! materialised ones.
+//! which is what makes swept rows *bit-identical* to the materialised
+//! graph's.
 
-use crate::kernel::WeightGlobals;
+use crate::kernel::{WeightGlobals, Weights};
+use crate::prune::{self, Corpus, PrunedComparisons, Pruning, Rows, Rule, Visit};
+use crate::supervised::{self, Features};
 use crate::weights::WeightingScheme;
 use minoan_blocking::BlockCollection;
 use minoan_rdf::EntityId;
+use std::ops::Range;
 use std::sync::Mutex;
 
 /// Reusable per-worker scratch for node-centric sweeps over a collection
@@ -142,43 +146,11 @@ impl ScratchPool {
     }
 }
 
-/// One parallel pass filling a per-entity slot from its sweep — used for
-/// degree counting and BLAST local maxima. Shared by the streaming and
-/// session paths; scratches come from `pool`.
-pub(crate) fn fill_per_entity<T: Send, F>(
-    collection: &BlockCollection,
-    ranges: &[std::ops::Range<usize>],
-    pool: &ScratchPool,
-    out: &mut [T],
-    f: F,
-) where
-    F: Fn(usize, &SweepScratch) -> T + Sync,
-{
-    let chunks = split_by_ends(out, ranges.iter().map(|r| r.end));
-    let f = &f;
-    std::thread::scope(|s| {
-        for (r, chunk) in ranges.iter().zip(chunks) {
-            let r = r.clone();
-            s.spawn(move || {
-                pool.with(|scratch| {
-                    for a in r.clone() {
-                        scratch.sweep(collection, EntityId(a as u32));
-                        chunk[a - r.start] = f(a, scratch);
-                    }
-                });
-            });
-        }
-    });
-}
-
 /// The expensive state a sweep-based backend (streaming or MapReduce)
 /// needs before it can weight an edge, owned and cached across runs by
 /// [`Session`](crate::Session): the per-entity sweep-cost slab and its
 /// range partitionings, the [`WeightGlobals`] tiers (basic, and the
 /// counted degrees/|V|/active-node upgrade), and the scratch pool.
-///
-/// The one-shot free functions construct a throwaway `SweepState` per
-/// call, which reproduces the pre-session behaviour exactly.
 pub(crate) struct SweepState<'c> {
     pub(crate) collection: &'c BlockCollection,
     pub(crate) pool: ScratchPool,
@@ -213,22 +185,23 @@ impl<'c> SweepState<'c> {
         r
     }
 
-    /// Ensures the globals tier `scheme` (and `need_active`) requires:
-    /// the basic per-entity block counts always, plus — for EJS or
-    /// active-node consumers — the counting pass, run at most once per
-    /// state regardless of how many runs need it.
-    pub(crate) fn ensure(&mut self, scheme: WeightingScheme, need_active: bool, threads: usize) {
+    /// Ensures the globals tier a run weighing `weights` needs: the
+    /// basic per-entity block counts always, plus — for EJS, or when
+    /// `counted` asks for the active-node count or degrees — the counting
+    /// pass, run at most once per state however many runs need it.
+    pub(crate) fn ensure(&mut self, weights: Weights, counted: bool, threads: usize) {
         self.ensure_basic();
-        if (scheme == WeightingScheme::Ejs || need_active) && !self.counted {
-            self.count(threads);
-        }
-    }
-
-    /// Ensures the counted tier (degrees, |V|, active nodes).
-    pub(crate) fn ensure_counted(&mut self, threads: usize) {
-        self.ensure_basic();
-        if !self.counted {
-            self.count(threads);
+        if (weights.needs_counts() || counted) && !self.counted {
+            let ranges = self.ranges(threads.max(1));
+            let rows = neighbour_rows(self.collection, &self.pool);
+            let partials = prune::fold(&rows, &ranges, false, Vec::new, |acc, a, row| {
+                acc.push((a, row.len() as u32))
+            });
+            let mut degrees = vec![0u32; self.collection.num_entities()];
+            for (a, d) in partials.into_iter().flatten() {
+                degrees[a as usize] = d;
+            }
+            self.apply_count(degrees);
         }
     }
 
@@ -237,19 +210,6 @@ impl<'c> SweepState<'c> {
         if self.globals.is_none() {
             self.globals = Some(WeightGlobals::basic(self.collection));
         }
-    }
-
-    fn count(&mut self, threads: usize) {
-        let ranges = self.ranges(threads.max(1));
-        let mut degrees = vec![0u32; self.collection.num_entities()];
-        fill_per_entity(
-            self.collection,
-            &ranges,
-            &self.pool,
-            &mut degrees,
-            |_a, s| s.neighbours().len() as u32,
-        );
-        self.apply_count(degrees);
     }
 
     /// Installs externally-computed per-entity degrees (the MapReduce
@@ -275,6 +235,139 @@ impl<'c> SweepState<'c> {
             .as_ref()
             .expect("SweepState::ensure must run first")
     }
+
+    /// The corpus aggregates of the cardinality defaults (the active-node
+    /// count is 0 unless the counting pass ran).
+    pub(crate) fn corpus(&self) -> Corpus {
+        Corpus {
+            total_assignments: self.collection.total_assignments(),
+            active_nodes: self.globals().active_nodes,
+        }
+    }
+
+    /// The streaming backend's full run of `pruning` under `scheme`.
+    pub(crate) fn run(
+        &mut self,
+        scheme: WeightingScheme,
+        pruning: &Pruning,
+        threads: usize,
+    ) -> PrunedComparisons {
+        let weights = pruning.weights(scheme);
+        self.ensure(weights, pruning.needs_counts(), threads);
+        let ranges = self.ranges(threads);
+        let (collection, globals, pool) = (self.collection, self.globals(), &self.pool);
+        match *pruning {
+            Pruning::Supervised(model) => {
+                prune::run_supervised(&feature_rows(collection, globals, pool), &ranges, model)
+            }
+            _ => {
+                let rows = weight_rows(collection, globals, pool, weights);
+                prune::run(&rows, &ranges, pruning, scheme, self.corpus())
+            }
+        }
+    }
+
+    /// The criterion step of `pruning` under `scheme` on this state — the
+    /// rule every query-time resolve against the collection reuses.
+    pub(crate) fn rule(
+        &mut self,
+        scheme: WeightingScheme,
+        pruning: &Pruning,
+        threads: usize,
+    ) -> Rule {
+        let weights = pruning.weights(scheme);
+        self.ensure(weights, pruning.needs_counts(), threads);
+        let ranges = self.ranges(threads);
+        let (collection, globals, pool) = (self.collection, self.globals(), &self.pool);
+        match *pruning {
+            Pruning::Supervised(model) => {
+                Rule::supervised(model, &feature_rows(collection, globals, pool), &ranges)
+            }
+            _ => {
+                let rows = weight_rows(collection, globals, pool, weights);
+                Rule::build(pruning, &rows, &ranges, self.corpus())
+            }
+        }
+    }
+}
+
+/// The streaming backend's row producer: sweeps each visited entity with
+/// a pooled epoch-reset scratch and turns every neighbour's statistics
+/// into a row entry through `entry(scratch, y, lo, hi)` — `(lo, hi)` the
+/// edge's endpoints in normalised order, the order every kernel call
+/// must see. `O(neighbourhood)` per row, no edge slab anywhere.
+pub(crate) struct SweepRows<'a, F> {
+    collection: &'a BlockCollection,
+    pool: &'a ScratchPool,
+    entry: F,
+}
+
+impl<'a, F> SweepRows<'a, F> {
+    pub(crate) fn new(collection: &'a BlockCollection, pool: &'a ScratchPool, entry: F) -> Self {
+        Self {
+            collection,
+            pool,
+            entry,
+        }
+    }
+}
+
+impl<E, F> Rows<E> for SweepRows<'_, F>
+where
+    F: Fn(&SweepScratch, u32, u32, u32) -> E + Sync,
+{
+    fn visit(&self, range: Range<usize>, forward: bool, f: &mut Visit<'_, E>) {
+        self.pool.with(|scratch| {
+            let mut row = Vec::new();
+            for a in range {
+                let a = a as u32;
+                scratch.sweep(self.collection, EntityId(a));
+                row.clear();
+                for &y in scratch.neighbours() {
+                    if forward && y <= a {
+                        continue;
+                    }
+                    let (lo, hi) = if a < y { (a, y) } else { (y, a) };
+                    row.push((y, (self.entry)(scratch, y, lo, hi)));
+                }
+                if !row.is_empty() {
+                    f(a, &row);
+                }
+            }
+        });
+    }
+}
+
+/// Unweighted rows swept from `collection` — just the neighbour lists, for
+/// the degree counts (nothing is weighed, so no globals are read).
+pub(crate) fn neighbour_rows<'a>(
+    collection: &'a BlockCollection,
+    pool: &'a ScratchPool,
+) -> SweepRows<'a, impl Fn(&SweepScratch, u32, u32, u32) + Sync> {
+    SweepRows::new(collection, pool, |_: &SweepScratch, _, _, _| ())
+}
+
+/// Weight rows swept from `collection` (`globals` ensured for `weights`).
+pub(crate) fn weight_rows<'a>(
+    collection: &'a BlockCollection,
+    globals: &'a WeightGlobals,
+    pool: &'a ScratchPool,
+    weights: Weights,
+) -> SweepRows<'a, impl Fn(&SweepScratch, u32, u32, u32) -> f64 + Sync + 'a> {
+    SweepRows::new(collection, pool, move |s: &SweepScratch, y, lo, hi| {
+        weights.of_sweep(s, globals, y, lo, hi)
+    })
+}
+
+/// Supervised feature rows swept from `collection` (`globals` counted).
+pub(crate) fn feature_rows<'a>(
+    collection: &'a BlockCollection,
+    globals: &'a WeightGlobals,
+    pool: &'a ScratchPool,
+) -> SweepRows<'a, impl Fn(&SweepScratch, u32, u32, u32) -> Features + Sync + 'a> {
+    SweepRows::new(collection, pool, move |s: &SweepScratch, y, lo, hi| {
+        supervised::raw_features_of(s, globals, y, lo, hi)
+    })
 }
 
 /// Per-entity sweep cost (Σ sizes of the entity's blocks) — the balance

@@ -44,6 +44,20 @@ impl WeightingScheme {
         }
     }
 
+    /// Whether an arrival can change this scheme's weights only on edges
+    /// with a dirty endpoint. CBS, JS and ARCS read nothing but per-pair
+    /// and per-endpoint statistics; ECBS and EJS read the global block and
+    /// edge totals, which every arrival shifts. Exactly these schemes are
+    /// delta-swept by [`IncrementalSession`](crate::IncrementalSession)
+    /// and invalidated entry by entry in a
+    /// [`NeighbourhoodCache`](crate::NeighbourhoodCache).
+    pub fn is_delta_local(self) -> bool {
+        matches!(
+            self,
+            WeightingScheme::Cbs | WeightingScheme::Js | WeightingScheme::Arcs
+        )
+    }
+
     /// Weight of `edge` in `graph` under this scheme. Always finite and
     /// ≥ 0; higher = stronger co-occurrence evidence.
     ///
@@ -175,6 +189,22 @@ mod tests {
                 scheme
             );
         }
+    }
+
+    #[test]
+    fn delta_local_schemes_read_no_global_totals() {
+        let local: Vec<_> = WeightingScheme::ALL
+            .into_iter()
+            .filter(|s| s.is_delta_local())
+            .collect();
+        assert_eq!(
+            local,
+            vec![
+                WeightingScheme::Cbs,
+                WeightingScheme::Js,
+                WeightingScheme::Arcs
+            ]
+        );
     }
 
     #[test]

@@ -20,7 +20,10 @@
 //!
 //! Frames above [`MAX_FRAME`] bytes (and zero-length payloads) are
 //! rejected as malformed before any allocation happens — a garbage
-//! length prefix must not become a multi-gigabyte `Vec`.
+//! length prefix must not become a multi-gigabyte `Vec`. Likewise a
+//! record count (`INGEST` ids, `RESOLVED` pairs) is rejected unless that
+//! many records fit in the bytes the frame still holds, so a short frame
+//! cannot reserve memory for records it does not carry.
 
 use minoan_metablocking::WeightedPair;
 use minoan_rdf::EntityId;
@@ -181,6 +184,17 @@ impl<'a> Cursor<'a> {
         ]))
     }
 
+    /// Reads a record count and rejects it unless that many records of
+    /// `record_bytes` each still fit in the payload — so a short frame
+    /// claiming millions of records fails before anything is allocated.
+    fn count(&mut self, record_bytes: usize, what: &'static str) -> io::Result<usize> {
+        let n = self.u32()? as usize;
+        if n > (self.buf.len() - self.pos) / record_bytes {
+            return Err(bad(what));
+        }
+        Ok(n)
+    }
+
     fn rest(&mut self) -> &'a [u8] {
         let s = &self.buf[self.pos..];
         self.pos = self.buf.len();
@@ -260,10 +274,7 @@ pub fn read_request(r: &mut impl Read) -> io::Result<Option<Request>> {
     let req = match c.u8()? {
         OP_RESOLVE => Request::Resolve(c.u32()?),
         OP_INGEST => {
-            let n = c.u32()? as usize;
-            if n > MAX_FRAME / 4 {
-                return Err(bad("ingest batch count out of bounds"));
-            }
+            let n = c.count(4, "ingest batch count out of bounds")?;
             let mut ids = Vec::with_capacity(n);
             for _ in 0..n {
                 ids.push(c.u32()?);
@@ -335,10 +346,7 @@ pub fn read_response(r: &mut impl Read) -> io::Result<Response> {
         OP_RESOLVED => {
             let version = c.u64()?;
             let entity = c.u32()?;
-            let n = c.u32()? as usize;
-            if n > MAX_FRAME / 16 {
-                return Err(bad("resolved pair count out of bounds"));
-            }
+            let n = c.count(16, "resolved pair count out of bounds")?;
             let mut pairs = Vec::with_capacity(n);
             for _ in 0..n {
                 let a = c.u32()?;
@@ -472,5 +480,31 @@ mod tests {
         wire.push(OP_STATS);
         wire.extend_from_slice(&[0; 5]);
         assert!(read_request(&mut wire.as_slice()).is_err());
+    }
+
+    /// A 9-byte frame claiming millions of records must fail on the count
+    /// check — before reserving memory for them — not as a truncated body.
+    #[test]
+    fn record_counts_are_bounded_by_the_payload_before_allocation() {
+        let mut wire = 5u32.to_le_bytes().to_vec();
+        wire.push(OP_INGEST);
+        wire.extend_from_slice(&4_000_000u32.to_le_bytes());
+        let err = read_request(&mut wire.as_slice()).expect_err("count exceeds payload");
+        assert_eq!(err.to_string(), "ingest batch count out of bounds");
+
+        let mut wire = 17u32.to_le_bytes().to_vec();
+        wire.push(OP_RESOLVED);
+        wire.extend_from_slice(&[0; 12]);
+        wire.extend_from_slice(&1_000_000u32.to_le_bytes());
+        let err = read_response(&mut wire.as_slice()).expect_err("count exceeds payload");
+        assert_eq!(err.to_string(), "resolved pair count out of bounds");
+
+        // A count that exactly fits still decodes.
+        let mut wire = 9u32.to_le_bytes().to_vec();
+        wire.push(OP_INGEST);
+        wire.extend_from_slice(&1u32.to_le_bytes());
+        wire.extend_from_slice(&7u32.to_le_bytes());
+        let req = read_request(&mut wire.as_slice()).expect("one id fits");
+        assert_eq!(req, Some(Request::Ingest(vec![7])));
     }
 }

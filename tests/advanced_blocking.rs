@@ -3,8 +3,11 @@
 //! families recover matches that exact token blocking misses.
 
 use minoan::blocking::{pair_intersection, union, BlockingWorkflow, LshConfig, Method};
-use minoan::metablocking::{blast, supervised, FeatureExtractor, Perceptron, TrainingSet};
+use minoan::metablocking::{blast, FeatureExtractor, Perceptron, TrainingSet};
 use minoan::prelude::*;
+
+mod common;
+use common::{assert_bit_identical, oracle};
 
 #[test]
 fn every_method_composes_with_metablocking_and_matching() {
@@ -18,7 +21,12 @@ fn every_method_composes_with_metablocking_and_matching() {
     for method in methods {
         let blocks = method.run(&world.dataset, ErMode::CleanClean);
         let graph = BlockingGraph::build(&blocks);
-        let pruned = prune::wnp(&graph, WeightingScheme::Arcs, false);
+        let pruned = Session::new(&blocks).run().pruned;
+        assert_bit_identical(
+            &pruned,
+            &oracle::wnp(&graph, WeightingScheme::Arcs, false),
+            method.name(),
+        );
         let pairs: Vec<_> = pruned
             .pairs
             .into_iter()
@@ -99,10 +107,19 @@ fn workflow_feeds_supervised_metablocking_end_to_end() {
     let truth = &world.truth;
     let set = TrainingSet::sample(&graph, &extractor, |a, b| truth.is_match(a, b), 40, 59);
     let model = Perceptron::train(&set, 10);
-    let sup = supervised::supervised_prune(&graph, &model);
+    let sup = Session::new(&blocks)
+        .pruning(Pruning::Supervised(model))
+        .run()
+        .pruned;
+    assert_bit_identical(
+        &sup,
+        &oracle::supervised_prune(&graph, &model),
+        "supervised",
+    );
 
     // BLAST pruning, unsupervised.
-    let bl = blast::blast(&graph, blast::DEFAULT_RATIO);
+    let bl = Session::new(&blocks).pruning(Pruning::blast()).run().pruned;
+    assert_bit_identical(&bl, &oracle::blast(&graph, blast::DEFAULT_RATIO), "blast");
 
     for (name, pruned) in [("supervised", &sup), ("blast", &bl)] {
         assert!(!pruned.pairs.is_empty(), "{name} kept nothing");

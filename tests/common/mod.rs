@@ -1,6 +1,32 @@
 //! Helpers shared by the backend-equivalence integration suites.
 
-use minoan::metablocking::{PruneOutcome, PrunedComparisons, WeightedPair};
+#[allow(dead_code)]
+pub mod oracle;
+
+use minoan::blocking::BlockCollection;
+use minoan::metablocking::{
+    ExecutionBackend, PruneOutcome, PrunedComparisons, Pruning, Session, WeightedPair,
+    WeightingScheme,
+};
+
+/// One fresh [`Session`] run of `scheme` × `pruning` on `backend` with
+/// `workers` workers.
+#[allow(dead_code)]
+pub fn run(
+    blocks: &BlockCollection,
+    scheme: WeightingScheme,
+    pruning: Pruning,
+    backend: ExecutionBackend,
+    workers: usize,
+) -> PrunedComparisons {
+    Session::new(blocks)
+        .scheme(scheme)
+        .pruning(pruning)
+        .backend(backend)
+        .workers(workers)
+        .run()
+        .pruned
+}
 
 /// Bit-identity over bare pair lists: same pairs in the same order with
 /// the same f64 weight bits.
@@ -30,7 +56,7 @@ pub fn assert_bit_identical(a: &PrunedComparisons, b: &PrunedComparisons, label:
 }
 
 /// As [`assert_bit_identical`], comparing a session [`PruneOutcome`]
-/// against a pre-session single-shot result.
+/// against a reference result.
 #[allow(dead_code)]
 pub fn assert_outcome_bit_identical(a: &PruneOutcome, b: &PrunedComparisons, label: &str) {
     assert_bit_identical(&a.pruned, b, label);

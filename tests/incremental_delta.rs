@@ -1,7 +1,8 @@
 //! Property suite for the updatable meta-blocking session: after every
 //! ingest, a delta-swept [`IncrementalSession`] must be *bit-identical* to
-//! a from-scratch [`Session`] over the merged corpus — same input-edge
-//! count, same pair order, same f64 weight bits — across arrival orders,
+//! a from-scratch [`Session`] over the merged corpus, and to the reference
+//! implementation (`common::oracle`) on its blocking graph — same
+//! input-edge count, same pair order, same f64 weight bits — across arrival orders,
 //! batch sizes, ER modes and thread counts. Run it under
 //! `RUST_TEST_THREADS=1` and `4` in CI; per-worker bit-identity is also
 //! asserted in-process. (Exact-delta assertions on the process-global
@@ -10,11 +11,11 @@
 
 mod common;
 
-use common::assert_bit_identical;
+use common::{assert_bit_identical, oracle};
 use minoan::blocking::{builders, ErMode};
 use minoan::datagen::{generate, profiles, ArrivalOrder, GeneratedWorld};
 use minoan::metablocking::{
-    ExecutionBackend, IncrementalSession, Pruning, Session, WeightingScheme,
+    BlockingGraph, ExecutionBackend, IncrementalSession, Pruning, Session, WeightingScheme,
 };
 
 /// Scheme × pruning combinations with a true delta-sweep path.
@@ -73,6 +74,11 @@ fn check_stream(
             .workers(workers)
             .run();
         assert_bit_identical(&got.pruned, &want.pruned, &format!("{label}: batch {i}"));
+        assert_bit_identical(
+            &got.pruned,
+            &oracle::prune(&BlockingGraph::build(snap), scheme, pruning),
+            &format!("{label}: batch {i} vs reference"),
+        );
     }
 }
 

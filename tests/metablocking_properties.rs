@@ -1,15 +1,38 @@
 //! Cross-crate property tests on meta-blocking invariants, over generated
 //! worlds of varying shape.
 
-use minoan::metablocking::{blast, prune};
+use minoan::metablocking::PrunedComparisons;
 use minoan::prelude::*;
 use proptest::prelude::*;
 
-fn graph_for(seed: u64, n: usize) -> (minoan::datagen::GeneratedWorld, BlockingGraph) {
+mod common;
+use common::{assert_bit_identical, oracle};
+
+fn graph_for(seed: u64, n: usize) -> (BlockCollection, BlockingGraph) {
     let world = generate(&profiles::center_periphery(n, seed));
     let blocks = builders::token_blocking(&world.dataset, ErMode::CleanClean);
     let graph = BlockingGraph::build(&blocks);
-    (world, graph)
+    (blocks, graph)
+}
+
+/// A session run, asserted bit-identical to the reference.
+fn pruned(
+    blocks: &BlockCollection,
+    graph: &BlockingGraph,
+    scheme: WeightingScheme,
+    pruning: Pruning,
+) -> PrunedComparisons {
+    let out = Session::new(blocks)
+        .scheme(scheme)
+        .pruning(pruning)
+        .run()
+        .pruned;
+    assert_bit_identical(
+        &out,
+        &oracle::prune(graph, scheme, pruning),
+        &format!("{pruning:?}"),
+    );
+    out
 }
 
 proptest! {
@@ -34,12 +57,12 @@ proptest! {
     /// node-centric variant is a subset of the redundancy variant.
     #[test]
     fn pruning_subset_invariants(seed in 0u64..300) {
-        let (_, graph) = graph_for(seed, 50);
+        let (blocks, graph) = graph_for(seed, 50);
         let all: std::collections::HashSet<(EntityId, EntityId)> =
             graph.edges().iter().map(|e| (e.a, e.b)).collect();
         for scheme in [WeightingScheme::Cbs, WeightingScheme::Arcs] {
-            let redundancy = prune::wnp(&graph, scheme, false);
-            let reciprocal = prune::wnp(&graph, scheme, true);
+            let redundancy = pruned(&blocks, &graph, scheme, Pruning::Wnp { reciprocal: false });
+            let reciprocal = pruned(&blocks, &graph, scheme, Pruning::Wnp { reciprocal: true });
             let red: std::collections::HashSet<_> =
                 redundancy.pairs.iter().map(|p| (p.a, p.b)).collect();
             for p in &reciprocal.pairs {
@@ -55,8 +78,8 @@ proptest! {
     /// retained weight strictly positive.
     #[test]
     fn blast_output_invariants(seed in 0u64..300, ratio in 0.1f64..1.0) {
-        let (_, graph) = graph_for(seed, 40);
-        let pruned = blast::blast(&graph, ratio);
+        let (blocks, graph) = graph_for(seed, 40);
+        let pruned = pruned(&blocks, &graph, WeightingScheme::Cbs, Pruning::Blast { ratio });
         prop_assert!(pruned.pairs.len() <= graph.num_edges());
         prop_assert!(pruned.pairs.windows(2).all(|w| w[0].weight >= w[1].weight));
         prop_assert!(pruned.pairs.iter().all(|p| p.weight > 0.0));
@@ -68,12 +91,7 @@ proptest! {
     fn engine_budget_safety(seed in 0u64..200, budget in 0u64..400) {
         let world = generate(&profiles::center_dense(60, seed));
         let blocks = builders::token_blocking(&world.dataset, ErMode::CleanClean);
-        let graph = BlockingGraph::build(&blocks);
-        let pairs: Vec<_> = prune::wnp(&graph, WeightingScheme::Arcs, false)
-            .pairs
-            .into_iter()
-            .map(|p| (p.a, p.b, p.weight))
-            .collect();
+        let pairs = Session::new(&blocks).run().into_candidates();
         let res = ProgressiveResolver::new(
             &world.dataset,
             Matcher::new(&world.dataset, MatcherConfig::default()),

@@ -89,7 +89,7 @@ proptest! {
         let edge_set: std::collections::HashSet<(u32, u32)> =
             graph.edges().iter().map(|e| (e.a.0, e.b.0)).collect();
         for scheme in [WeightingScheme::Cbs, WeightingScheme::Arcs] {
-            let pruned = prune::wnp(&graph, scheme, false);
+            let pruned = Session::new(&blocks).scheme(scheme).run().pruned;
             prop_assert!(pruned.pairs.len() <= graph.num_edges());
             for p in &pruned.pairs {
                 prop_assert!(edge_set.contains(&(p.a.0, p.b.0)), "pruning invented an edge");

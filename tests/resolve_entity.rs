@@ -8,7 +8,7 @@
 
 mod common;
 
-use common::assert_pairs_bit_identical;
+use common::{assert_bit_identical, assert_pairs_bit_identical, oracle};
 use minoan::blocking::{builders, ErMode};
 use minoan::datagen::{generate, profiles, ArrivalOrder, GeneratedWorld};
 use minoan::metablocking::{
@@ -63,6 +63,7 @@ fn probes(n: usize, stride: usize) -> Vec<EntityId> {
 fn batch_session_resolves_every_family_bit_identically() {
     let world = generate(&profiles::center_dense(120, 13));
     let blocks = builders::token_blocking(&world.dataset, ErMode::CleanClean);
+    let graph = BlockingGraph::build(&blocks);
     let n = world.dataset.len();
     for workers in [1usize, 3] {
         for scheme in minoan::metablocking::WeightingScheme::ALL {
@@ -74,6 +75,11 @@ fn batch_session_resolves_every_family_bit_identically() {
                     .backend(ExecutionBackend::Streaming)
                     .workers(workers);
                 let full = session.run();
+                assert_bit_identical(
+                    &full.pruned,
+                    &oracle::prune(&graph, scheme, family),
+                    &format!("{scheme:?}/{fname}/w={workers}: full run"),
+                );
                 for e in probes(n, 7) {
                     let resolved = session.resolve_entity(e);
                     assert_eq!(resolved.entity, e);
@@ -102,6 +108,11 @@ fn batch_session_resolves_supervised_bit_identically() {
     assert!(
         !full.pairs().is_empty(),
         "fixture model must keep something"
+    );
+    assert_bit_identical(
+        &full.pruned,
+        &oracle::supervised_prune(&graph, &model),
+        "supervised: full run",
     );
     for e in probes(world.dataset.len(), 5) {
         let resolved = session.resolve_entity(e);

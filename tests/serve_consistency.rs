@@ -1,18 +1,18 @@
 //! Consistency suite for the resolution service: any interleaving of
 //! `RESOLVE` and `INGEST` — sequential or concurrent, cache on or off,
 //! over the wire or in-process — must answer every resolve bit-identical
-//! to a from-scratch batch [`Session`] over the corpus at the answer's
-//! stamped version (the admission point). Run under
+//! to the incident slice of a from-scratch reference run (`common::oracle`)
+//! over the corpus at the answer's stamped version (the admission point). Run under
 //! `RUST_TEST_THREADS=1` and `4` in CI; per-worker identity is also
 //! asserted in-process.
 
 mod common;
 
-use common::assert_pairs_bit_identical;
+use common::{assert_pairs_bit_identical, oracle};
 use minoan::blocking::ErMode;
 use minoan::datagen::{generate, profiles, ArrivalOrder, GeneratedWorld};
 use minoan::metablocking::{
-    ExecutionBackend, IncrementalSession, Pruning, Session, WeightedPair, WeightingScheme,
+    BlockingGraph, IncrementalSession, Pruning, WeightedPair, WeightingScheme,
 };
 use minoan::rdf::EntityId;
 use minoan_server::{Client, ResolveService, Server};
@@ -33,14 +33,15 @@ fn id_batches(g: &GeneratedWorld, batch: usize) -> Vec<Vec<u32>> {
 
 /// The from-scratch reference at one version: a fresh incremental
 /// session fed the first `version` batches in one go, snapshotted, and
-/// answered by a batch [`Session`] (`version` counts ingests, so version
-/// v = the first v batches).
+/// pruned by the reference implementation over the snapshot's blocking
+/// graph (`common::oracle`); an entity's answer is its incident slice
+/// (`version` counts ingests, so version v = the first v batches).
 struct Reference<'d> {
     g: &'d GeneratedWorld,
     batches: &'d [Vec<u32>],
     scheme: WeightingScheme,
     pruning: Pruning,
-    sessions: BTreeMap<u64, IncrementalSession<'d>>,
+    outcomes: BTreeMap<u64, Vec<WeightedPair>>,
 }
 
 impl<'d> Reference<'d> {
@@ -55,33 +56,32 @@ impl<'d> Reference<'d> {
             batches,
             scheme,
             pruning,
-            sessions: BTreeMap::new(),
+            outcomes: BTreeMap::new(),
         }
     }
 
     fn resolve(&mut self, version: u64, entity: u32) -> Vec<WeightedPair> {
         let (g, batches, scheme, pruning) = (self.g, self.batches, self.scheme, self.pruning);
-        let inc = self.sessions.entry(version).or_insert_with(|| {
+        let pairs = self.outcomes.entry(version).or_insert_with(|| {
+            if version == 0 {
+                return Vec::new();
+            }
             let mut inc = IncrementalSession::new(&g.dataset, ErMode::CleanClean);
-            inc.scheme(scheme).pruning(pruning);
             let merged: Vec<EntityId> = batches
                 .iter()
                 .take(version as usize)
                 .flat_map(|b| b.iter().map(|&e| EntityId(e)))
                 .collect();
             inc.ingest(&merged);
-            inc
+            let snap = inc.snapshot().expect("ingest leaves a snapshot behind");
+            oracle::prune(&BlockingGraph::build(snap), scheme, pruning).pairs
         });
-        if version == 0 {
-            return Vec::new();
-        }
-        let snap = inc.snapshot().expect("ingest leaves a snapshot behind");
-        Session::new(snap)
-            .scheme(scheme)
-            .pruning(pruning)
-            .backend(ExecutionBackend::Streaming)
-            .resolve_entity(EntityId(entity))
-            .matches
+        let e = EntityId(entity);
+        pairs
+            .iter()
+            .filter(|p| p.a == e || p.b == e)
+            .copied()
+            .collect()
     }
 }
 
@@ -180,14 +180,28 @@ fn concurrent_resolves_under_ingest_stay_version_consistent() {
     for workers in [1usize, 2, 4] {
         let service = ResolveService::new(&g.dataset, ErMode::CleanClean, scheme, pruning, 64);
         service.sweep_workers(workers);
+        // Each client's first 40 resolves race the first half of the
+        // ingests, its last 40 the second half: the clients meet the
+        // ingesting thread at the midpoint, and resume only once one more
+        // batch has landed — so answers span at least two versions however
+        // fast the resolves run.
+        let mid = batches.len() / 2;
+        let midpoint = std::sync::Barrier::new(5);
+        let ingested = std::sync::atomic::AtomicUsize::new(0);
         let recorded: Vec<RecordedAnswer> = std::thread::scope(|s| {
             let clients: Vec<_> = (0..4)
                 .map(|c| {
-                    let service = &service;
+                    let (service, midpoint, ingested) = (&service, &midpoint, &ingested);
                     s.spawn(move || {
                         let mut mix = minoan::common::QueryMix::new(n, 1.0, 900 + c as u64);
                         let mut seen = Vec::new();
-                        for _ in 0..80 {
+                        for i in 0..80 {
+                            if i == 40 {
+                                midpoint.wait();
+                                while ingested.load(std::sync::atomic::Ordering::Acquire) <= mid {
+                                    std::thread::yield_now();
+                                }
+                            }
                             let e = mix.next_entity();
                             let r = service.resolve(e).expect("in range");
                             seen.push((e, r.version, r.pairs));
@@ -196,8 +210,12 @@ fn concurrent_resolves_under_ingest_stay_version_consistent() {
                     })
                 })
                 .collect();
-            for batch in &batches {
+            for (i, batch) in batches.iter().enumerate() {
+                if i == mid {
+                    midpoint.wait();
+                }
                 service.ingest(batch).expect("valid batch");
+                ingested.fetch_add(1, std::sync::atomic::Ordering::Release);
             }
             clients
                 .into_iter()

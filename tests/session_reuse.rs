@@ -1,6 +1,6 @@
 //! Session-reuse equivalence: one [`Session`] swept over all five
 //! weighting schemes and all pruning families must be bitwise-equal to
-//! fresh single-shot runs of the pre-session free functions, for every
+//! the reference implementations (`common::oracle`), for every
 //! [`ExecutionBackend`] and workers 1/4 — and the sweep must *reuse* the
 //! expensive shared state instead of rebuilding it per run, asserted via
 //! the [`probe`] build/allocation counters.
@@ -10,14 +10,14 @@
 
 use minoan::blocking::{builders, ErMode};
 use minoan::metablocking::{
-    blast, probe, prune, supervised_prune, BlockingGraph, ExecutionBackend, FeatureExtractor,
-    Perceptron, Pruning, Session, TrainingSet, WeightedPair,
+    probe, BlockingGraph, ExecutionBackend, FeatureExtractor, Perceptron, Pruning, Session,
+    TrainingSet, WeightedPair,
 };
 use minoan::prelude::*;
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 mod common;
-use common::{assert_outcome_bit_identical, assert_pairs_bit_identical};
+use common::{assert_outcome_bit_identical, assert_pairs_bit_identical, oracle};
 
 fn probe_lock() -> MutexGuard<'static, ()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
@@ -61,34 +61,18 @@ fn family_variants() -> Vec<(&'static str, Pruning)> {
     ]
 }
 
-/// The pre-session single-shot result for one scheme × family on the
-/// materialised graph (the reference every backend must match).
+/// The reference result for one scheme × family on the materialised
+/// graph (the reference every backend must match).
 fn single_shot(
     graph: &BlockingGraph,
     scheme: WeightingScheme,
     pruning: Pruning,
 ) -> Vec<WeightedPair> {
-    match pruning {
-        Pruning::None => graph
-            .edges()
-            .iter()
-            .map(|e| WeightedPair {
-                a: e.a,
-                b: e.b,
-                weight: scheme.weight(graph, e),
-            })
-            .collect(),
-        Pruning::Wep => prune::wep(graph, scheme).pairs,
-        Pruning::Cep(k) => prune::cep(graph, scheme, k).pairs,
-        Pruning::Wnp { reciprocal } => prune::wnp(graph, scheme, reciprocal).pairs,
-        Pruning::Cnp { reciprocal, k } => prune::cnp(graph, scheme, reciprocal, k).pairs,
-        Pruning::Blast { ratio } => blast(graph, ratio).pairs,
-        Pruning::Supervised(model) => supervised_prune(graph, &model).pairs,
-    }
+    oracle::prune(graph, scheme, pruning).pairs
 }
 
 /// One session swept over all five schemes and all pruning families is
-/// bitwise-equal to fresh single-shot runs, per backend and worker count.
+/// bitwise-equal to the reference, per backend and worker count.
 #[test]
 fn one_session_sweep_equals_fresh_single_shots() {
     let _guard = probe_lock();
@@ -148,7 +132,7 @@ fn backend_interleaving_on_one_session_is_bit_identical() {
 }
 
 /// The supervised family is reachable from every backend through the one
-/// entry point, bit-identical to the materialised `supervised_prune`.
+/// entry point, bit-identical to the reference supervised pruner.
 #[test]
 fn supervised_family_reachable_from_every_backend() {
     let _guard = probe_lock();
@@ -158,7 +142,7 @@ fn supervised_family_reachable_from_every_backend() {
     let extractor = FeatureExtractor::fit(&graph);
     let set = TrainingSet::sample(&graph, &extractor, |a, b| world.truth.is_match(a, b), 40, 7);
     let model = Perceptron::train(&set, 12);
-    let expect = supervised_prune(&graph, &model);
+    let expect = oracle::supervised_prune(&graph, &model);
     assert!(
         !expect.pairs.is_empty(),
         "fixture model must keep something"

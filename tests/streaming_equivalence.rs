@@ -1,52 +1,64 @@
-//! Property test: the streaming meta-blocking path and the materialised
-//! CSR-graph path produce **bit-identical** pruned pair sets for every
-//! pruning family — edge-centric WEP/CEP as well as node-centric WNP/CNP
-//! (and BLAST) — under all five weighting schemes, on random generated
-//! worlds, for both the union and reciprocal variants, at thread counts
-//! 1/2/4/8.
+//! Property test: the streaming meta-blocking backend produces
+//! **bit-identical** pruned pair sets to the reference implementations
+//! over the materialised CSR graph (`common::oracle`) for every pruning
+//! family — edge-centric WEP/CEP as well as node-centric WNP/CNP (and
+//! BLAST) — under all five weighting schemes, on random generated worlds,
+//! for both the union and reciprocal variants, at thread counts 1/2/4/8.
 
 use minoan::blocking::{builders, ErMode};
-use minoan::metablocking::{blast, prune, streaming, BlockingGraph, StreamingOptions};
+use minoan::metablocking::{BlockingGraph, ExecutionBackend};
 use minoan::prelude::*;
 use proptest::prelude::*;
 
 mod common;
-use common::assert_bit_identical;
+use common::{assert_bit_identical, oracle};
+
+/// One streaming session run at `threads` workers.
+fn streaming(
+    blocks: &BlockCollection,
+    scheme: WeightingScheme,
+    pruning: Pruning,
+    threads: usize,
+) -> minoan::metablocking::PrunedComparisons {
+    common::run(
+        blocks,
+        scheme,
+        pruning,
+        ExecutionBackend::Streaming,
+        threads,
+    )
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// WNP and CNP agree bitwise between backends for every scheme,
+    /// WNP and CNP agree bitwise with the reference for every scheme,
     /// variant and thread count.
     #[test]
     fn streaming_equals_materialised(seed in 0u64..500, n in 40usize..120, threads in 1usize..5) {
         let world = generate(&profiles::center_periphery(n, seed));
         let blocks = builders::token_blocking(&world.dataset, ErMode::CleanClean);
         let graph = BlockingGraph::build(&blocks);
-        let opts = StreamingOptions::with_threads(threads);
         for scheme in WeightingScheme::ALL {
             for reciprocal in [false, true] {
                 let label = format!("{}/r={reciprocal}/t={threads}", scheme.name());
                 assert_bit_identical(
-                    &streaming::wnp_with(&blocks, scheme, reciprocal, &opts),
-                    &prune::wnp(&graph, scheme, reciprocal),
+                    &streaming(&blocks, scheme, Pruning::Wnp { reciprocal }, threads),
+                    &oracle::wnp(&graph, scheme, reciprocal),
                     &format!("wnp/{label}"),
                 );
-                assert_bit_identical(
-                    &streaming::cnp_with(&blocks, scheme, reciprocal, None, &opts),
-                    &prune::cnp(&graph, scheme, reciprocal, None),
-                    &format!("cnp/{label}"),
-                );
-                assert_bit_identical(
-                    &streaming::cnp_with(&blocks, scheme, reciprocal, Some(2), &opts),
-                    &prune::cnp(&graph, scheme, reciprocal, Some(2)),
-                    &format!("cnp2/{label}"),
-                );
+                for k in [None, Some(2)] {
+                    assert_bit_identical(
+                        &streaming(&blocks, scheme, Pruning::Cnp { reciprocal, k }, threads),
+                        &oracle::cnp(&graph, scheme, reciprocal, k),
+                        &format!("cnp{k:?}/{label}"),
+                    );
+                }
             }
         }
     }
 
-    /// Edge-centric WEP and CEP agree bitwise between backends for every
+    /// Edge-centric WEP and CEP agree bitwise with the reference for every
     /// scheme at thread counts 1/2/4/8 — WEP's global mean comes from a
     /// fixed-shape pairwise reduction, CEP's global top-k from merged
     /// per-thread heaps, so neither may drift with the partitioning.
@@ -56,18 +68,17 @@ proptest! {
         let blocks = builders::token_blocking(&world.dataset, ErMode::CleanClean);
         let graph = BlockingGraph::build(&blocks);
         for threads in [1usize, 2, 4, 8] {
-            let opts = StreamingOptions::with_threads(threads);
             for scheme in WeightingScheme::ALL {
                 let label = format!("{}/t={threads}", scheme.name());
                 assert_bit_identical(
-                    &streaming::wep_with(&blocks, scheme, &opts),
-                    &prune::wep(&graph, scheme),
+                    &streaming(&blocks, scheme, Pruning::Wep, threads),
+                    &oracle::wep(&graph, scheme),
                     &format!("wep/{label}"),
                 );
                 for k in [None, Some(7)] {
                     assert_bit_identical(
-                        &streaming::cep_with(&blocks, scheme, k, &opts),
-                        &prune::cep(&graph, scheme, k),
+                        &streaming(&blocks, scheme, Pruning::Cep(k), threads),
+                        &oracle::cep(&graph, scheme, k),
                         &format!("cep{k:?}/{label}"),
                     );
                 }
@@ -84,13 +95,10 @@ proptest! {
         let graph = BlockingGraph::build(&blocks);
         for threads in [1usize, 4] {
             for scheme in WeightingScheme::ALL {
-                let stream = streaming::weighted_edges_with(
-                    &blocks,
-                    scheme,
-                    &StreamingOptions::with_threads(threads),
-                );
-                prop_assert_eq!(stream.len(), graph.num_edges());
-                for (s, e) in stream.iter().zip(graph.edges()) {
+                let stream = streaming(&blocks, scheme, Pruning::None, threads);
+                prop_assert_eq!(stream.input_edges, graph.num_edges());
+                prop_assert_eq!(stream.pairs.len(), graph.num_edges());
+                for (s, e) in stream.pairs.iter().zip(graph.edges()) {
                     prop_assert_eq!((s.a, s.b), (e.a, e.b));
                     prop_assert_eq!(s.weight.to_bits(), scheme.weight(&graph, e).to_bits());
                 }
@@ -98,7 +106,7 @@ proptest! {
         }
     }
 
-    /// BLAST agrees bitwise between backends across keep ratios.
+    /// BLAST agrees bitwise with the reference across keep ratios.
     #[test]
     fn streaming_blast_equals_materialised(seed in 0u64..500, ratio in 0.1f64..1.0) {
         let world = generate(&profiles::center_dense(80, seed));
@@ -106,8 +114,8 @@ proptest! {
         let graph = BlockingGraph::build(&blocks);
         for threads in [1usize, 4] {
             assert_bit_identical(
-                &streaming::blast_with(&blocks, ratio, &StreamingOptions::with_threads(threads)),
-                &blast::blast(&graph, ratio),
+                &streaming(&blocks, WeightingScheme::Arcs, Pruning::Blast { ratio }, threads),
+                &oracle::blast(&graph, ratio),
                 &format!("blast/ratio={ratio:.2}/t={threads}"),
             );
         }
