@@ -27,7 +27,7 @@ use minoan_common::QueryMix;
 use minoan_datagen::generate;
 use minoan_metablocking::{IncrementalSession, Pruning, WeightingScheme};
 use minoan_rdf::{Dataset, EntityId};
-use minoan_server::{Client, ResolveService, Server, ServiceStats};
+use minoan_server::{Client, ResolveService, Server, StatsReply};
 use std::collections::BTreeMap;
 use std::hint::black_box;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -82,7 +82,7 @@ pub struct ServeRow {
 struct VariantOutcome {
     latencies: Vec<f64>,
     wall_nanos: u128,
-    stats: ServiceStats,
+    stats: StatsReply,
     ingested_batches: usize,
 }
 
@@ -152,7 +152,7 @@ fn run_variant(
         let wall_nanos = wall.elapsed().as_nanos();
         done.store(true, Ordering::Relaxed);
         let ingested_batches = ingester.join().expect("ingest client finishes");
-        let stats = server.service().service_stats();
+        let stats = server.service().stats();
         Client::connect(addr)
             .and_then(|mut c| c.shutdown())
             .expect("clean shutdown");
@@ -285,7 +285,7 @@ pub fn smoke() {
         for q in queriers {
             recorded.extend(q.join().expect("query client finishes"));
         }
-        let stats = server.service().service_stats();
+        let stats = server.service().stats();
         assert!(stats.cache_hits > 0, "smoke must exercise the cache");
         assert!(stats.cache_misses > 0, "smoke must exercise sweeps");
         ingest.shutdown().expect("clean shutdown");

@@ -245,18 +245,15 @@ fn cmd_inspect(args: &Args) -> Result<String, CliError> {
 }
 
 fn blocking_by_name(name: &str) -> Result<BlockingMethod, CliError> {
-    use minoan_blocking::Method;
     Ok(match name {
         "token" => BlockingMethod::Token,
         "uri-infix" => BlockingMethod::UriInfix,
         "token+uri" => BlockingMethod::TokenAndUri,
-        "attr-clustering" => BlockingMethod::AttributeClustering {
-            link_threshold: 0.3,
-        },
-        "qgrams" => BlockingMethod::Custom(Method::QGrams(3)),
-        "sorted-neighborhood" => BlockingMethod::Custom(Method::SortedNeighborhood(6)),
-        "minhash-lsh" => BlockingMethod::Custom(Method::MinHashLsh(LshConfig::default())),
-        "canopy" => BlockingMethod::Custom(Method::Canopy(CanopyConfig::default())),
+        "attr-clustering" => BlockingMethod::AttributeClustering(0.3),
+        "qgrams" => BlockingMethod::QGrams(3),
+        "sorted-neighborhood" => BlockingMethod::SortedNeighborhood(6),
+        "minhash-lsh" => BlockingMethod::MinHashLsh(LshConfig::default()),
+        "canopy" => BlockingMethod::Canopy(CanopyConfig::default()),
         other => return Err(CliError(format!("unknown blocking method {other:?}"))),
     })
 }
@@ -592,7 +589,7 @@ fn cmd_serve(args: &Args) -> Result<String, CliError> {
         std::fs::write(path, format!("{addr}\n"))?;
     }
     server.run()?;
-    let stats = server.service().service_stats();
+    let stats = server.service().stats();
     let _ = writeln!(
         report,
         "served {} resolves ({} coalesced, {} cache hits, {} misses), {} ingests",

@@ -7,28 +7,15 @@
 
 use crate::engine::{ProgressiveResolver, Resolution, ResolverConfig};
 use crate::matcher::{Matcher, MatcherConfig};
-use minoan_blocking::{builders, filter, purge, BlockCollection, ErMode};
+use minoan_blocking::{filter, purge, BlockCollection, ErMode};
 use minoan_metablocking::{ExecutionBackend, Session, WeightingScheme};
 use minoan_rdf::{Dataset, EntityId};
 
-/// Which blocking-key extractor to use.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum BlockingMethod {
-    /// Tokens of attribute values (and resource-URI infixes).
-    Token,
-    /// Tokens of the subject-URI infix only.
-    UriInfix,
-    /// Union of the two (the paper's "descriptions or URIs" criterion).
-    TokenAndUri,
-    /// Attribute-clustering blocking with the given link threshold.
-    AttributeClustering {
-        /// Minimum attribute-vocabulary Jaccard to link two attributes.
-        link_threshold: f64,
-    },
-    /// Any blocker from the full method catalogue (q-grams, sorted
-    /// neighborhood, MinHash-LSH, canopy, …).
-    Custom(minoan_blocking::Method),
-}
+/// Which blocking-key extractor to use — re-exported from
+/// [`minoan_blocking::Method`], the one blocking catalogue (token, URI
+/// infix, their union, attribute clustering, q-grams, sorted
+/// neighborhood, MinHash-LSH, canopy, …).
+pub use minoan_blocking::Method as BlockingMethod;
 
 /// Which meta-blocking pruning algorithm to run — re-exported from
 /// [`minoan_metablocking::Pruning`], so the pipeline config speaks the
@@ -118,17 +105,7 @@ impl Pipeline {
 
     /// Runs blocking only (exposed for experiments).
     pub fn block(&self, dataset: &Dataset) -> BlockCollection {
-        match self.config.blocking {
-            BlockingMethod::Token => builders::token_blocking(dataset, self.config.mode),
-            BlockingMethod::UriInfix => builders::uri_infix_blocking(dataset, self.config.mode),
-            BlockingMethod::TokenAndUri => {
-                builders::token_and_uri_blocking(dataset, self.config.mode)
-            }
-            BlockingMethod::Custom(method) => method.run(dataset, self.config.mode),
-            BlockingMethod::AttributeClustering { link_threshold } => {
-                builders::attribute_clustering_blocking(dataset, self.config.mode, link_threshold)
-            }
-        }
+        self.config.blocking.run(dataset, self.config.mode)
     }
 
     /// Runs block cleaning (purge + filter) per the configuration. The
@@ -230,9 +207,8 @@ mod tests {
             BlockingMethod::Token,
             BlockingMethod::UriInfix,
             BlockingMethod::TokenAndUri,
-            BlockingMethod::AttributeClustering {
-                link_threshold: 0.2,
-            },
+            BlockingMethod::AttributeClustering(0.2),
+            BlockingMethod::QGrams(3),
         ] {
             let cfg = PipelineConfig {
                 blocking,

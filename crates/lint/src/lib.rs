@@ -21,6 +21,7 @@
 //! | ML006 | `dep-drift`           | dependencies stay inside the workspace / `vendor/` |
 //! | ML007 | `forbid-unsafe`       | every crate root carries `#![forbid(unsafe_code)]` |
 //! | ML008 | `hidden-api`          | no `#[doc(hidden)]` public items in library code |
+//! | ML009 | `global-state`        | no interior-mutable `static` items in library code |
 
 #![forbid(unsafe_code)]
 

@@ -80,6 +80,11 @@ pub const RULES: &[RuleInfo] = &[
         name: "hidden-api",
         summary: "#[doc(hidden)] on a pub item in library code (test-only shims belong in tests/)",
     },
+    RuleInfo {
+        code: "ML009",
+        name: "global-state",
+        summary: "static of an interior-mutable type (atomics, locks, cells) in library code",
+    },
 ];
 
 /// Looks a rule up by name.
@@ -261,6 +266,7 @@ pub fn check_rust(rel: &str, scanned: &ScannedFile, out: &mut Vec<Diagnostic>) {
         legacy_oracle_reach(rel, scanned, out);
         if is_library_path(rel) {
             hidden_api(rel, scanned, out);
+            global_state(rel, scanned, out);
         }
     }
 
@@ -746,6 +752,52 @@ fn hidden_api(rel: &str, s: &ScannedFile, out: &mut Vec<Diagnostic>) {
              test-only shims into the test tree, or allowlist the path in lint.toml \
              with a reason"
                 .to_string(),
+        ));
+    }
+}
+
+/// ML009 — a `static` item whose type can change behind a shared
+/// reference: atomics, locks, once/lazy cells and `Cell`/`RefCell`
+/// (including `thread_local!` statics). Such state is process-global: it
+/// cannot tell two sessions or services apart, and tests asserting on it
+/// must serialise. Counts and caches belong on the value doing the work.
+fn global_state(rel: &str, s: &ScannedFile, out: &mut Vec<Diagnostic>) {
+    // Whole type names, and name prefixes (`AtomicU64`, `OnceCell`, …).
+    const CELLS: &[&str] = &["Mutex", "RwLock", "LazyLock", "Cell", "RefCell"];
+    const PREFIXES: &[&str] = &["Atomic", "Once"];
+    let bytes = s.masked.as_bytes();
+    for off in find_ident(&s.masked, "static") {
+        // `'static` is a lifetime, not an item.
+        if s.in_test(off) || (off > 0 && bytes[off - 1] == b'\'') {
+            continue;
+        }
+        let rest = s.masked[off + "static".len()..].trim_start();
+        // `static mut X`, and `lazy_static!`'s `static ref X`.
+        let rest = rest.strip_prefix("mut ").unwrap_or(rest);
+        let rest = rest.strip_prefix("ref ").unwrap_or(rest);
+        let Some((name, rest)) = rest.split_once(':') else {
+            continue;
+        };
+        if name.trim().is_empty() || !name.trim().bytes().all(is_ident) {
+            continue;
+        }
+        let ty = &rest[..rest.find(['=', ';']).unwrap_or(rest.len())];
+        let cell = ty
+            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+            .find(|id| CELLS.contains(id) || PREFIXES.iter().any(|p| id.starts_with(p)));
+        let Some(cell) = cell else { continue };
+        let (line, col) = s.line_col(off);
+        out.push(diag(
+            rel,
+            line,
+            col,
+            "global-state",
+            format!(
+                "`static {}` holds a `{cell}` — process-global mutable state cannot \
+                 tell two sessions apart; keep counts and caches on the value that \
+                 does the work",
+                name.trim()
+            ),
         ));
     }
 }

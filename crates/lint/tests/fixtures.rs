@@ -182,3 +182,21 @@ fn ml008_crate_private_and_test_items_are_clean() {
     let src = include_str!("lint_fixtures/ml008_clean.rs");
     assert_eq!(fired("crates/metablocking/src/fixture.rs", src), vec![]);
 }
+
+#[test]
+fn ml009_interior_mutable_statics_fire_in_library_code() {
+    let src = include_str!("lint_fixtures/ml009_fire.rs");
+    assert_eq!(
+        fired("crates/metablocking/src/fixture.rs", src),
+        vec![("ML009", 3), ("ML009", 4), ("ML009", 5), ("ML009", 7)]
+    );
+    assert_eq!(fired("src/fixture.rs", src).len(), 4);
+    // Test and bench trees may serialise through a static lock.
+    assert_eq!(fired("tests/session_fixture.rs", src), vec![]);
+}
+
+#[test]
+fn ml009_immutable_and_test_statics_are_clean() {
+    let src = include_str!("lint_fixtures/ml009_clean.rs");
+    assert_eq!(fired("crates/metablocking/src/fixture.rs", src), vec![]);
+}

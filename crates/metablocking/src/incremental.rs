@@ -50,8 +50,8 @@
 //!   over global aggregates) and the supervised pruner (features are
 //!   normalised by global maxima). These combinations transparently fall
 //!   back to a full streaming re-sweep of the current snapshot — same
-//!   results, no stale answers, and the [`probe`] counters
-//!   record which path ran.
+//!   results, no stale answers, and [`IngestReport::delta`] records which
+//!   path ran.
 //!
 //! For the pruning families `None`/`WEP`/`CEP`/`WNP`/`CNP` the row cache
 //! *is* the row producer the pruning core ([`prune`](mod@crate::prune))
@@ -80,12 +80,27 @@
 //! let outcome = session.outcome();
 //! assert!(outcome.pairs().len() <= outcome.input_edges());
 //! ```
+//!
+//! # The answer cache
+//!
+//! [`IncrementalSession::resolve_entity`] can memoise whole answers for
+//! the hot entities of a skewed query mix
+//! ([`IncrementalSession::cache_capacity`]; 0, the default, disables it).
+//! The session alone decides which cached answers survive an ingest.
+//! When the scheme × pruning combination lets a batch change answers only
+//! through the rows it changes (a delta-local scheme under `None`, WNP, or
+//! CNP with an explicit `k`), [`IncrementalSession::ingest`] drops the
+//! entries whose dependency sets (the entity and its neighbours) meet
+//! those rows: the batch's dirty entities, and under JS also every
+//! neighbour of an entity whose block list grew. Otherwise it clears the
+//! cache — a global criterion can re-decide edges between clean entities.
+//! A scheme or pruning switch clears it too. Cache hits return answers
+//! bit-identical to a fresh resolve.
 
 use crate::kernel::{WeightGlobals, Weights};
 use crate::parallel::JobReport;
-use crate::probe;
 use crate::prune::{self, Corpus, Pruning, Rows, Rule, Visit};
-use crate::query::{self, ResolvedEntity};
+use crate::query::{self, NeighbourhoodCache, ResolvedEntity};
 use crate::session::{PruneOutcome, Session};
 use crate::sweep::{default_threads, partition_by_cost, split_by_ends, ScratchPool, SweepState};
 use crate::weights::WeightingScheme;
@@ -114,6 +129,9 @@ pub struct IngestReport {
     /// Whether the delta-sweep ran (`false` = full re-sweep fallback or
     /// a row-cache rebuild was pending).
     pub delta: bool,
+    /// Cached answers this ingest dropped from the session's answer
+    /// cache (see the [module docs](self#the-answer-cache)).
+    pub invalidated: usize,
 }
 
 /// An updatable meta-blocking session: ingest description batches,
@@ -147,12 +165,15 @@ pub struct IncrementalSession<'d> {
     pool: ScratchPool,
     /// Monotone corpus version: bumped by every ingest.
     version: u64,
-    /// Dirty entities of the last ingest (the cache-invalidation set a
-    /// layered [`NeighbourhoodCache`](crate::NeighbourhoodCache) reads).
-    last_dirty: Vec<EntityId>,
     /// Query-time criterion (and fallback globals), valid for exactly one
     /// `(version, scheme, pruning)` triple.
     resolve_cache: Option<ResolveCache>,
+    /// Whole answers of hot entities, valid at the current version.
+    answers: NeighbourhoodCache,
+    /// Resolves answered from `answers`.
+    cache_hits: u64,
+    /// Resolves that had to compute their answer.
+    cache_misses: u64,
 }
 
 /// Query-time state cached per corpus version by
@@ -186,8 +207,10 @@ impl<'d> IncrementalSession<'d> {
             mask: vec![false; n],
             pool: ScratchPool::new(n),
             version: 0,
-            last_dirty: Vec::new(),
             resolve_cache: None,
+            answers: NeighbourhoodCache::new(0),
+            cache_hits: 0,
+            cache_misses: 0,
         }
     }
 
@@ -200,17 +223,26 @@ impl<'d> IncrementalSession<'d> {
             // only a switch after arrivals dirties the cache.
             self.rows_valid = self.collection.num_arrived() == 0;
             self.resolve_cache = None;
+            self.answers.clear();
         }
         self
     }
 
     /// Sets the pruning family (rows are scheme-scoped, so this never
-    /// invalidates them).
+    /// invalidates them; cached answers are dropped).
     pub fn pruning(&mut self, pruning: Pruning) -> &mut Self {
         if pruning != self.pruning {
             self.pruning = pruning;
             self.resolve_cache = None;
+            self.answers.clear();
         }
+        self
+    }
+
+    /// Sets how many resolved answers the session keeps for repeat
+    /// resolves (0, the default, keeps none). Drops any held answers.
+    pub fn cache_capacity(&mut self, capacity: usize) -> &mut Self {
+        self.answers = NeighbourhoodCache::new(capacity);
         self
     }
 
@@ -244,14 +276,15 @@ impl<'d> IncrementalSession<'d> {
         self.version
     }
 
-    /// The dirty entities of the last ingest (members of its touched
-    /// blocks) — the invalidation set for a
-    /// [`NeighbourhoodCache`](crate::NeighbourhoodCache) layered over
-    /// this session (sound only when
-    /// [`locally_invalidatable`](crate::locally_invalidatable) holds for
-    /// the configured combination). Empty before the first ingest.
-    pub fn last_dirty(&self) -> &[EntityId] {
-        &self.last_dirty
+    /// Resolves answered from the answer cache so far.
+    pub fn cache_hits(&self) -> u64 {
+        self.cache_hits
+    }
+
+    /// Resolves that computed their answer so far (with capacity 0, every
+    /// resolve).
+    pub fn cache_misses(&self) -> u64 {
+        self.cache_misses
     }
 
     fn threads(&self) -> usize {
@@ -277,6 +310,7 @@ impl<'d> IncrementalSession<'d> {
     /// delta-append the block slabs, and patch the row cache by
     /// re-sweeping only the entities whose incident weights can have
     /// changed (see the [module docs](self) for the per-scheme sets).
+    /// Cached answers the batch could have changed are dropped.
     ///
     /// # Panics
     /// Panics if any batch entity was already ingested.
@@ -291,6 +325,7 @@ impl<'d> IncrementalSession<'d> {
             swept_entities: 0,
             num_arrived: self.collection.num_arrived(),
             delta: false,
+            invalidated: 0,
         };
         if !self.supports_delta() {
             // Rows are not maintained for this combination; a later
@@ -315,7 +350,6 @@ impl<'d> IncrementalSession<'d> {
                     &mut self.mask,
                 );
             }
-            probe::record_delta_sweep(targets.len(), delta.touched_blocks.len());
             report.swept_entities = targets.len();
             report.delta = true;
         } else {
@@ -324,8 +358,24 @@ impl<'d> IncrementalSession<'d> {
             self.reseed(&delta.snapshot, threads);
             report.swept_entities = self.rows.len();
         }
+        report.invalidated = if query::locally_invalidatable(self.scheme, self.pruning) {
+            // The entities whose rows changed: the dirty set, plus every
+            // neighbour of a grown entity under JS (its weights read the
+            // grown |B_i|). A grown entity was re-swept, so its row is fresh.
+            let grown: &[EntityId] = match self.scheme {
+                WeightingScheme::Js => &delta.grown,
+                _ => &[],
+            };
+            let rows = &self.rows;
+            let neighbours = grown
+                .iter()
+                .flat_map(|g| rows[g.index()].iter().map(|&(y, _)| y));
+            let dirty = delta.dirty.iter().map(|e| e.0);
+            self.answers.invalidate(dirty.chain(neighbours))
+        } else {
+            self.answers.clear()
+        };
         self.version += 1;
-        self.last_dirty = delta.dirty;
         self.resolve_cache = None;
         self.snapshot = Some(delta.snapshot);
         report
@@ -375,7 +425,6 @@ impl<'d> IncrementalSession<'d> {
                 rows.corpus(&snapshot),
             )
         } else {
-            probe::record_full_resweep();
             Session::new(&snapshot)
                 .scheme(self.scheme)
                 .pruning(self.pruning)
@@ -401,7 +450,9 @@ impl<'d> IncrementalSession<'d> {
     /// the queried neighbourhood on the snapshot. Either way the pruning
     /// family's *global* inputs (WEP's threshold, CEP's top-k bar, CNP's
     /// default `k`, the supervised extractor) are built once per
-    /// ingested version and reused by every resolve against it.
+    /// ingested version and reused by every resolve against it. With a
+    /// [cache capacity](Self::cache_capacity), a repeat resolve of a
+    /// still-valid entity is answered from the cache without a sweep.
     ///
     /// ```
     /// use minoan_blocking::ErMode;
@@ -433,6 +484,18 @@ impl<'d> IncrementalSession<'d> {
             (entity.0 as usize) < self.rows.len(),
             "resolve_entity: entity id out of range"
         );
+        if let Some(hit) = self.answers.get(entity) {
+            self.cache_hits += 1;
+            return hit.clone();
+        }
+        self.cache_misses += 1;
+        let resolved = self.compute_entity(entity);
+        self.answers.insert(&resolved);
+        resolved
+    }
+
+    /// [`Self::resolve_entity`] without the answer cache.
+    fn compute_entity(&mut self, entity: EntityId) -> ResolvedEntity {
         let threads = self.threads();
         if self.snapshot.is_none() {
             self.snapshot = Some(self.collection.snapshot(threads));
@@ -512,7 +575,6 @@ impl<'d> IncrementalSession<'d> {
             threads,
         );
         self.rows_valid = true;
-        probe::record_full_resweep();
     }
 }
 
@@ -709,79 +771,6 @@ mod tests {
         (0..n as u32).map(EntityId).collect()
     }
 
-    const DELTA_SCHEMES: [WeightingScheme; 3] = [
-        WeightingScheme::Cbs,
-        WeightingScheme::Js,
-        WeightingScheme::Arcs,
-    ];
-
-    const DELTA_FAMILIES: [Pruning; 5] = [
-        Pruning::None,
-        Pruning::Wep,
-        Pruning::Cep(None),
-        Pruning::Wnp { reciprocal: false },
-        Pruning::Cnp {
-            reciprocal: true,
-            k: None,
-        },
-    ];
-
-    #[test]
-    fn delta_outcomes_match_streaming_sessions_per_batch() {
-        let world = generate(&profiles::center_dense(90, 13));
-        let all = ids(world.dataset.len());
-        for mode in [ErMode::CleanClean, ErMode::Dirty] {
-            for scheme in DELTA_SCHEMES {
-                for pruning in DELTA_FAMILIES {
-                    let mut inc = IncrementalSession::new(&world.dataset, mode);
-                    inc.scheme(scheme).pruning(pruning).workers(2);
-                    for batch in all.chunks(23) {
-                        let report = inc.ingest(batch);
-                        assert!(report.delta, "supported combo must delta-sweep");
-                        let got = inc.outcome();
-                        let snap = inc.snapshot().expect("snapshot exists after ingest");
-                        let want = Session::new(snap)
-                            .scheme(scheme)
-                            .pruning(pruning)
-                            .backend(ExecutionBackend::Streaming)
-                            .workers(2)
-                            .run();
-                        assert_same(&got, &want, &format!("{mode:?}/{scheme:?}/{pruning:?}"));
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn unsupported_combinations_fall_back_bit_identically() {
-        let world = generate(&profiles::center_dense(70, 5));
-        let all = ids(world.dataset.len());
-        let combos = [
-            (WeightingScheme::Ecbs, Pruning::Wnp { reciprocal: false }),
-            (WeightingScheme::Ejs, Pruning::Wep),
-            (WeightingScheme::Cbs, Pruning::blast()),
-        ];
-        for (scheme, pruning) in combos {
-            let mut inc = IncrementalSession::new(&world.dataset, ErMode::CleanClean);
-            inc.scheme(scheme).pruning(pruning);
-            assert!(!inc.supports_delta());
-            for batch in all.chunks(31) {
-                let report = inc.ingest(batch);
-                assert!(!report.delta, "unsupported combo must not claim a delta");
-                assert_eq!(report.swept_entities, 0);
-                let got = inc.outcome();
-                let snap = inc.snapshot().expect("snapshot exists after ingest");
-                let want = Session::new(snap)
-                    .scheme(scheme)
-                    .pruning(pruning)
-                    .backend(ExecutionBackend::Streaming)
-                    .run();
-                assert_same(&got, &want, &format!("{scheme:?}/{pruning:?}"));
-            }
-        }
-    }
-
     #[test]
     fn fully_ingested_matches_batch_token_blocking() {
         let world = generate(&profiles::center_dense(80, 5));
@@ -827,27 +816,6 @@ mod tests {
     }
 
     #[test]
-    fn small_batches_sweep_a_strict_subset() {
-        // The periphery regime has few hot tokens, so a small batch's
-        // touched blocks cover only part of the corpus (a center-style
-        // world with universal tokens would legitimately dirty everyone).
-        let world = generate(&profiles::periphery_sparse(200, 17));
-        let all = ids(world.dataset.len());
-        let (bulk, tail) = all.split_at(all.len() - 6);
-        let mut inc = IncrementalSession::new(&world.dataset, ErMode::CleanClean);
-        inc.scheme(WeightingScheme::Cbs);
-        inc.ingest(bulk);
-        let report = inc.ingest(tail);
-        assert!(report.delta);
-        assert!(
-            report.swept_entities < report.num_arrived,
-            "a small batch must re-sweep strictly fewer entities ({} of {}) than have arrived",
-            report.swept_entities,
-            report.num_arrived
-        );
-    }
-
-    #[test]
     fn outcome_before_any_ingest_is_empty() {
         let world = generate(&profiles::center_dense(30, 3));
         let mut inc = IncrementalSession::new(&world.dataset, ErMode::CleanClean);
@@ -855,24 +823,5 @@ mod tests {
         assert!(out.pairs().is_empty());
         assert_eq!(out.input_edges(), 0);
         assert!(inc.snapshot().is_some(), "outcome materialises a snapshot");
-    }
-
-    #[test]
-    fn thread_counts_do_not_change_a_bit() {
-        let world = generate(&profiles::center_dense(80, 21));
-        let all = ids(world.dataset.len());
-        let mut base: Option<PruneOutcome> = None;
-        for workers in [1usize, 2, 4, 8] {
-            let mut inc = IncrementalSession::new(&world.dataset, ErMode::CleanClean);
-            inc.scheme(WeightingScheme::Js).workers(workers);
-            for batch in all.chunks(17) {
-                inc.ingest(batch);
-            }
-            let got = inc.outcome();
-            match &base {
-                None => base = Some(got),
-                Some(b) => assert_same(&got, b, &format!("workers={workers}")),
-            }
-        }
     }
 }

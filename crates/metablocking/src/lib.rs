@@ -102,12 +102,12 @@
 //!   slabs and patches a per-entity row cache by re-sweeping only the
 //!   dirty entities; the pruning core reads that cache as its rows,
 //!   keeping the [`PruneOutcome`] bit-identical to a from-scratch run on
-//!   the merged corpus.
+//!   the merged corpus. The session also owns the answer cache of its
+//!   resolves and decides on every ingest which cached answers survive.
 //! * [`query`] — query-time resolution: one entity's rows through the same
 //!   per-row decisions ([`Session::resolve_entity`],
 //!   [`IncrementalSession::resolve_entity`]), bit-identical to the
-//!   incident slice of a full run, plus the [`NeighbourhoodCache`]
-//!   backing the resolution server.
+//!   incident slice of a full run.
 //! * [`parallel`] — the MapReduce backend (entity-based jobs and the
 //!   edge-based baseline [`parallel::parallel_edge_weights`]).
 //! * [`graph`] — the CSR blocking graph: one node per description, one
@@ -120,8 +120,6 @@
 //! * [`blast`](mod@blast) — BLAST's χ² weighting.
 //! * [`supervised`] — perceptron-based supervised meta-blocking
 //!   (training, features, batched extraction).
-//! * [`probe`] — build/allocation counters backing the state-reuse
-//!   assertions.
 
 #![forbid(unsafe_code)]
 
@@ -130,7 +128,6 @@ pub mod graph;
 pub mod incremental;
 pub mod kernel;
 pub mod parallel;
-pub mod probe;
 pub mod prune;
 pub mod query;
 pub mod session;
@@ -143,8 +140,8 @@ pub use graph::{BlockingGraph, Edge};
 pub use incremental::{IncrementalSession, IngestReport};
 pub use parallel::JobReport;
 pub use prune::{PrunedComparisons, Pruning, WeightedPair};
-pub use query::{locally_invalidatable, NeighbourhoodCache, ResolvedEntity};
-pub use session::{PruneOutcome, Session};
+pub use query::ResolvedEntity;
+pub use session::{PruneOutcome, Session, SessionCounts};
 pub use supervised::{EdgeFeatures, FeatureExtractor, Perceptron, TrainingSet};
 pub use weights::WeightingScheme;
 

@@ -20,11 +20,13 @@
 //!   corpus version and reused by every resolve, which is what keeps a
 //!   query sub-linear: the criterion amortises across requests exactly
 //!   like the session's CSR/scratch state does across runs.
-//! * [`NeighbourhoodCache`] memoises whole [`ResolvedEntity`] answers
-//!   for the hot entities of a skewed query mix, with invalidation
-//!   driven by the dirty-entity sets
-//!   [`IncrementalSession::ingest`](crate::IncrementalSession::ingest)
-//!   reports (see [`locally_invalidatable`] for when that is sound).
+//! * `NeighbourhoodCache` memoises whole [`ResolvedEntity`] answers for
+//!   the hot entities of a skewed query mix. An
+//!   [`IncrementalSession`](crate::IncrementalSession) owns one and
+//!   invalidates it in its own
+//!   [`ingest`](crate::IncrementalSession::ingest): entry by entry from
+//!   the batch's dirty entities where `locally_invalidatable` proves that
+//!   sound, a full clear otherwise.
 //!
 //! Bit-identity is the contract, not an aspiration: for every scheme ×
 //! pruning family × worker count, `resolve_entity(e).matches` equals the
@@ -32,8 +34,7 @@
 //! f64 bits (`tests/resolve_entity.rs`).
 
 use crate::kernel::{WeightGlobals, Weights};
-use crate::probe;
-use crate::prune::{self, Pruning, Rows, Rule, Visit, WeightedPair};
+use crate::prune::{self, Pruning, Rows, Rule, WeightedPair};
 use crate::supervised::Features;
 use crate::sweep::{self, ScratchPool};
 use crate::weights::WeightingScheme;
@@ -52,8 +53,7 @@ pub struct ResolvedEntity {
     /// keep for it, in the same order with the same f64 weight bits.
     pub matches: Vec<WeightedPair>,
     /// All comparable neighbours of the entity (ascending, unpruned) —
-    /// the dependency set a cached copy of this result is valid under
-    /// (see [`NeighbourhoodCache`]).
+    /// the dependency set a cached copy of this result is valid under.
     pub neighbours: Vec<u32>,
 }
 
@@ -142,11 +142,11 @@ pub(crate) fn resolve_swept(
 ) -> ResolvedEntity {
     match rule {
         Rule::Supervised { .. } => {
-            let rows = Probed(sweep::feature_rows(collection, globals, pool));
+            let rows = sweep::feature_rows(collection, globals, pool);
             resolve_features(&rows, entity, rule)
         }
         _ => {
-            let rows = Probed(sweep::weight_rows(collection, globals, pool, weights));
+            let rows = sweep::weight_rows(collection, globals, pool, weights);
             resolve(&rows, entity, rule)
         }
     }
@@ -155,17 +155,6 @@ pub(crate) fn resolve_swept(
 /// The range holding just entity `e`.
 fn single(e: u32) -> Range<usize> {
     e as usize..e as usize + 1
-}
-
-/// A row producer that ticks the [`probe`] resolve-sweep counter once per
-/// visit — each visit of a query is one single-entity sweep.
-struct Probed<R>(R);
-
-impl<E, R: Rows<E>> Rows<E> for Probed<R> {
-    fn visit(&self, range: Range<usize>, forward: bool, f: &mut Visit<'_, E>) {
-        probe::record_resolve_sweep();
-        self.0.visit(range, forward, f)
-    }
 }
 
 /// Whether a cached [`ResolvedEntity`] under `scheme` × `pruning` can be
@@ -190,7 +179,7 @@ impl<E, R: Rows<E>> Rows<E> for Probed<R> {
 ///
 /// For every other combination, clear the cache on ingest — still
 /// correct, just colder.
-pub fn locally_invalidatable(scheme: WeightingScheme, pruning: Pruning) -> bool {
+pub(crate) fn locally_invalidatable(scheme: WeightingScheme, pruning: Pruning) -> bool {
     scheme.is_delta_local()
         && matches!(
             pruning,
@@ -211,17 +200,19 @@ struct CacheEntry {
 ///
 /// **Invalidation invariant**: an entry for entity `e` was computed from
 /// the rows of `deps = {e} ∪ neighbours(e)`. An ingest can change `e`'s
-/// answer only by changing one of those rows, and every changed row
-/// belongs to a dirty entity (a new edge `(e, z)` requires a shared
-/// touched block, which makes `e` itself dirty). So when
-/// [`locally_invalidatable`] holds, `deps ∩ dirty = ∅` proves the cached
-/// answer is still bit-identical to a fresh resolve — that is what
-/// [`Self::invalidate`] checks, and what the serve-consistency property
-/// suite pins.
+/// answer only by changing one of those rows. So when
+/// [`locally_invalidatable`] holds, `deps ∩ changed = ∅` — `changed`
+/// being the entities whose rows the ingest changed — proves the cached
+/// answer is still bit-identical to a fresh resolve; that is what
+/// [`Self::invalidate`] checks. Under CBS and ARCS every changed row
+/// belongs to a dirty entity: a weight changes only for a pair sharing a
+/// touched block. JS also reads the block counts `|B_i|`, so a grown
+/// entity reweights all its edges, and its neighbours' rows change
+/// whether they are dirty or not.
 ///
-/// Capacity 0 disables the cache entirely (every get misses silently,
-/// inserts are dropped) — the bench's "uncached" variant.
-pub struct NeighbourhoodCache {
+/// Capacity 0 disables the cache entirely (every get misses, inserts are
+/// dropped without a copy) — a bare session's default.
+pub(crate) struct NeighbourhoodCache {
     capacity: usize,
     tick: u64,
     entries: BTreeMap<u32, CacheEntry>,
@@ -229,7 +220,7 @@ pub struct NeighbourhoodCache {
 
 impl NeighbourhoodCache {
     /// A cache holding at most `capacity` resolved entities.
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         Self {
             capacity,
             tick: 0,
@@ -237,48 +228,21 @@ impl NeighbourhoodCache {
         }
     }
 
-    /// The configured capacity (0 = disabled).
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Cached entries currently held.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the cache holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// Looks up a still-valid cached answer, refreshing its recency.
-    /// Ticks the [`probe`] hit/miss counters unless the cache is
-    /// disabled.
-    pub fn get(&mut self, entity: EntityId) -> Option<&ResolvedEntity> {
-        if self.capacity == 0 {
-            return None;
-        }
-        match self.entries.get_mut(&entity.0) {
-            Some(entry) => {
-                self.tick += 1;
-                entry.stamp = self.tick;
-                probe::record_cache_hit();
-                Some(&entry.value)
-            }
-            None => {
-                probe::record_cache_miss();
-                None
-            }
-        }
+    pub(crate) fn get(&mut self, entity: EntityId) -> Option<&ResolvedEntity> {
+        let entry = self.entries.get_mut(&entity.0)?;
+        self.tick += 1;
+        entry.stamp = self.tick;
+        Some(&entry.value)
     }
 
-    /// Admits a freshly resolved answer, evicting the least recently
-    /// used entry at capacity.
-    pub fn insert(&mut self, value: ResolvedEntity) {
+    /// Admits a copy of a freshly resolved answer, evicting the least
+    /// recently used entry at capacity. A disabled cache copies nothing.
+    pub(crate) fn insert(&mut self, value: &ResolvedEntity) {
         if self.capacity == 0 {
             return;
         }
+        let value = value.clone();
         let key = value.entity.0;
         if !self.entries.contains_key(&key) && self.entries.len() >= self.capacity {
             if let Some((&victim, _)) = self.entries.iter().min_by_key(|(_, en)| en.stamp) {
@@ -294,15 +258,16 @@ impl NeighbourhoodCache {
         self.entries.insert(key, CacheEntry { value, deps, stamp });
     }
 
-    /// Drops every entry whose dependency set intersects `dirty`
-    /// (an ingest's dirty-entity report); returns how many were
-    /// dropped. Only sound when [`locally_invalidatable`] holds for the
-    /// session's combination — otherwise call [`Self::clear`].
-    pub fn invalidate(&mut self, dirty: &[EntityId]) -> usize {
-        if self.entries.is_empty() || dirty.is_empty() {
+    /// Drops every entry whose dependency set holds an entity of
+    /// `changed` (the entities whose rows an ingest changed; duplicates
+    /// are fine); returns how many were dropped. Only sound when
+    /// [`locally_invalidatable`] holds for the session's combination —
+    /// otherwise call [`Self::clear`].
+    pub(crate) fn invalidate(&mut self, changed: impl IntoIterator<Item = u32>) -> usize {
+        if self.entries.is_empty() {
             return 0;
         }
-        let mut ids: Vec<u32> = dirty.iter().map(|e| e.0).collect();
+        let mut ids: Vec<u32> = changed.into_iter().collect();
         ids.sort_unstable();
         let before = self.entries.len();
         self.entries
@@ -311,9 +276,12 @@ impl NeighbourhoodCache {
     }
 
     /// Drops everything (the safe response to an ingest under a global
-    /// criterion, or to a scheme/pruning switch).
-    pub fn clear(&mut self) {
+    /// criterion, or to a scheme/pruning switch); returns how many
+    /// entries were dropped.
+    pub(crate) fn clear(&mut self) -> usize {
+        let dropped = self.entries.len();
         self.entries.clear();
+        dropped
     }
 }
 
@@ -346,11 +314,11 @@ mod tests {
     #[test]
     fn cache_evicts_least_recently_used() {
         let mut c = NeighbourhoodCache::new(2);
-        c.insert(resolved(1, &[2]));
-        c.insert(resolved(2, &[1]));
+        c.insert(&resolved(1, &[2]));
+        c.insert(&resolved(2, &[1]));
         assert!(c.get(EntityId(1)).is_some(), "1 is now the most recent");
-        c.insert(resolved(3, &[4]));
-        assert_eq!(c.len(), 2);
+        c.insert(&resolved(3, &[4]));
+        assert_eq!(c.entries.len(), 2);
         assert!(c.get(EntityId(2)).is_none(), "2 was the LRU victim");
         assert!(c.get(EntityId(1)).is_some());
         assert!(c.get(EntityId(3)).is_some());
@@ -359,11 +327,11 @@ mod tests {
     #[test]
     fn invalidation_drops_exactly_the_dependent_entries() {
         let mut c = NeighbourhoodCache::new(8);
-        c.insert(resolved(1, &[5, 9]));
-        c.insert(resolved(2, &[6]));
-        c.insert(resolved(3, &[7]));
+        c.insert(&resolved(1, &[5, 9]));
+        c.insert(&resolved(2, &[6]));
+        c.insert(&resolved(3, &[7]));
         // Entity 9 is a neighbour-dep of entry 1; entity 2 is its own dep.
-        let dropped = c.invalidate(&[EntityId(9), EntityId(2)]);
+        let dropped = c.invalidate([9, 2]);
         assert_eq!(dropped, 2);
         assert!(c.get(EntityId(1)).is_none());
         assert!(c.get(EntityId(2)).is_none());
@@ -373,13 +341,10 @@ mod tests {
     #[test]
     fn zero_capacity_disables_everything() {
         let mut c = NeighbourhoodCache::new(0);
-        let hits = probe::cache_hits();
-        let misses = probe::cache_misses();
-        c.insert(resolved(1, &[]));
-        assert!(c.is_empty());
+        c.insert(&resolved(1, &[]));
+        assert!(c.entries.is_empty());
         assert!(c.get(EntityId(1)).is_none());
-        assert_eq!(probe::cache_hits(), hits, "disabled cache must not tick");
-        assert_eq!(probe::cache_misses(), misses);
+        assert_eq!(c.clear(), 0);
     }
 
     #[test]

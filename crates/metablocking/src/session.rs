@@ -17,8 +17,8 @@
 //! pool — for the streaming and MapReduce backends. All of it is built
 //! lazily on first use and reused by every subsequent run, so sweeping
 //! all five schemes (or all pruning families) performs exactly one CSR
-//! build / one scratch allocation instead of one per call. The
-//! [`probe`](crate::probe) counters exist so tests can assert that claim.
+//! build / one scratch allocation instead of one per call. The session
+//! counts both ([`Session::counts`]) so tests can assert that claim.
 //!
 //! Reuse never changes results: every combination stays bit-identical to
 //! a fresh single-shot run (enforced in `tests/session_reuse.rs`).
@@ -82,6 +82,17 @@ impl PruneOutcome {
     }
 }
 
+/// The shared-state work one [`Session`] has done so far — counts of
+/// that session alone, never of the process.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct SessionCounts {
+    /// CSR blocking graphs built by [`Session::graph`] (at most one per
+    /// session).
+    pub csr_builds: usize,
+    /// Sweep scratches allocated by the session's scratch pool.
+    pub scratch_allocs: usize,
+}
+
 /// A configured meta-blocking run over one block collection, with the
 /// expensive shared state cached across runs.
 ///
@@ -120,6 +131,7 @@ pub struct Session<'c> {
     workers: Option<usize>,
     // Cached shared state, built lazily and reused across runs.
     graph: Option<BlockingGraph>,
+    csr_builds: usize,
     sweep: SweepState<'c>,
     // Query-time rule, keyed by the scheme × pruning it was built for
     // (resolve_entity rebuilds it on a config switch).
@@ -137,6 +149,7 @@ impl<'c> Session<'c> {
             backend: ExecutionBackend::Materialized,
             workers: None,
             graph: None,
+            csr_builds: 0,
             sweep: SweepState::new(collection),
             rule: None,
         }
@@ -187,8 +200,17 @@ impl<'c> Session<'c> {
                 self.collection,
                 self.threads(),
             ));
+            self.csr_builds += 1;
         }
         self.graph.as_ref().expect("just built")
+    }
+
+    /// The CSR builds and scratch allocations this session has performed.
+    pub fn counts(&self) -> SessionCounts {
+        SessionCounts {
+            csr_builds: self.csr_builds,
+            scratch_allocs: self.sweep.pool.allocs(),
+        }
     }
 
     /// Runs the configured scheme × pruning × backend combination,

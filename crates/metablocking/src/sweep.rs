@@ -43,7 +43,6 @@ pub(crate) struct SweepScratch {
 impl SweepScratch {
     /// Scratch sized for `n` entities.
     pub(crate) fn new(n: usize) -> Self {
-        crate::probe::record_scratch_alloc();
         Self {
             last_seen: vec![0; n],
             cbs: vec![0; n],
@@ -107,11 +106,18 @@ impl SweepScratch {
 /// pass. Sweeps are epoch-reset, so a returned scratch is immediately
 /// reusable; the pool only ever allocates on a miss, which is what lets a
 /// [`Session`](crate::Session) sweep many scheme × pruning combinations
-/// with the scratch allocations of a single run (the `probe` counters
-/// assert this).
+/// with the scratch allocations of a single run. The pool counts its own
+/// allocations ([`Self::allocs`]) so the session can report them.
 pub(crate) struct ScratchPool {
     n: usize,
-    free: Mutex<Vec<SweepScratch>>,
+    free: Mutex<Free>,
+}
+
+/// The pool's lock-guarded state: idle scratches, and how many scratches
+/// the pool has allocated in all.
+struct Free {
+    idle: Vec<SweepScratch>,
+    allocs: usize,
 }
 
 impl ScratchPool {
@@ -119,19 +125,34 @@ impl ScratchPool {
     pub(crate) fn new(n: usize) -> Self {
         Self {
             n,
-            free: Mutex::new(Vec::new()),
+            free: Mutex::new(Free {
+                idle: Vec::new(),
+                allocs: 0,
+            }),
         }
     }
 
+    /// Scratches this pool has allocated so far (a pool miss allocates;
+    /// a hit reuses).
+    pub(crate) fn allocs(&self) -> usize {
+        self.free.lock().expect("scratch pool poisoned").allocs
+    }
+
     fn take(&self) -> SweepScratch {
-        let pooled = self.free.lock().expect("scratch pool poisoned").pop();
-        pooled.unwrap_or_else(|| SweepScratch::new(self.n))
+        let mut free = self.free.lock().expect("scratch pool poisoned");
+        if let Some(scratch) = free.idle.pop() {
+            return scratch;
+        }
+        free.allocs += 1;
+        drop(free);
+        SweepScratch::new(self.n)
     }
 
     fn put(&self, scratch: SweepScratch) {
         self.free
             .lock()
             .expect("scratch pool poisoned")
+            .idle
             .push(scratch);
     }
 

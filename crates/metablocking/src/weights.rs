@@ -48,9 +48,8 @@ impl WeightingScheme {
     /// with a dirty endpoint. CBS, JS and ARCS read nothing but per-pair
     /// and per-endpoint statistics; ECBS and EJS read the global block and
     /// edge totals, which every arrival shifts. Exactly these schemes are
-    /// delta-swept by [`IncrementalSession`](crate::IncrementalSession)
-    /// and invalidated entry by entry in a
-    /// [`NeighbourhoodCache`](crate::NeighbourhoodCache).
+    /// delta-swept by [`IncrementalSession`](crate::IncrementalSession),
+    /// whose answer cache is then invalidated entry by entry.
     pub fn is_delta_local(self) -> bool {
         matches!(
             self,

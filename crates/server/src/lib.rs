@@ -13,8 +13,8 @@
 //!   `INGEST`, `STATS`, `SHUTDOWN`; f64 weights travel as raw bits so
 //!   bit-identity survives the wire).
 //! * [`service`] — [`ResolveService`]: the shared state machine. One
-//!   mutex owns the [`IncrementalSession`] and the
-//!   [`NeighbourhoodCache`]; concurrent resolves go through *batched
+//!   mutex owns the [`IncrementalSession`] (and with it the answer cache
+//!   and its invalidation); concurrent resolves go through *batched
 //!   admission* (a leader drains the waiting queue, coalesces duplicate
 //!   entities, and answers the whole batch at one corpus version).
 //! * [`server`] — [`Server`]: listener + worker pool + clean shutdown.
@@ -28,7 +28,6 @@
 //!
 //! [`IncrementalSession`]: minoan_metablocking::IncrementalSession
 //! [`IncrementalSession::resolve_entity`]: minoan_metablocking::IncrementalSession::resolve_entity
-//! [`NeighbourhoodCache`]: minoan_metablocking::NeighbourhoodCache
 
 #![forbid(unsafe_code)]
 
@@ -40,4 +39,4 @@ pub mod service;
 pub use client::Client;
 pub use protocol::{IngestReply, Request, ResolveReply, Response, StatsReply};
 pub use server::Server;
-pub use service::{IngestError, ResolveService, ServiceStats};
+pub use service::{IngestError, ResolveService};

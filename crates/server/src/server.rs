@@ -6,14 +6,16 @@
 //! scoped threads over an `mpsc` channel (the receiver shared behind a
 //! mutex). Each worker speaks the [`crate::protocol`] frame
 //! loop until the peer disconnects. `SHUTDOWN` answers `BYE`, raises
-//! the stop flag, and nudges the accept loop awake with a throwaway
-//! self-connection; dropping the channel sender then drains the pool,
-//! and `run` returns once every in-flight connection has finished.
+//! the stop flag, closes the read side of every live connection (so a
+//! worker blocked reading an idle client sees end-of-stream), and nudges
+//! the accept loop awake with a throwaway self-connection; dropping the
+//! channel sender then drains the pool, and `run` returns once every
+//! in-flight request has been answered.
 
 use crate::protocol::{self, Request, Response};
 use crate::service::ResolveService;
 use std::io::{self, BufReader, BufWriter};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Mutex};
 
@@ -24,6 +26,10 @@ pub struct Server<'d> {
     listener: TcpListener,
     workers: usize,
     stop: AtomicBool,
+    /// One slot per worker: a handle on the connection it is serving, so
+    /// shutdown can close that connection's read side. A slot is cleared
+    /// when its connection ends, so no handle outlives its connection.
+    live: Mutex<Vec<Option<TcpStream>>>,
 }
 
 impl<'d> Server<'d> {
@@ -34,11 +40,13 @@ impl<'d> Server<'d> {
         service: ResolveService<'d>,
         workers: usize,
     ) -> io::Result<Self> {
+        let workers = workers.max(1);
         Ok(Self {
             service,
             listener: TcpListener::bind(addr)?,
-            workers: workers.max(1),
+            workers,
             stop: AtomicBool::new(false),
+            live: Mutex::new((0..workers).map(|_| None).collect()),
         })
     }
 
@@ -52,11 +60,16 @@ impl<'d> Server<'d> {
         &self.service
     }
 
-    /// Stops the accept loop: raises the flag, then nudges `accept`
-    /// with a throwaway connection so it observes the flag without
-    /// needing a timeout.
+    /// Stops the server: raises the flag, closes the read side of every
+    /// live connection (an idle client no longer holds its worker), then
+    /// nudges `accept` with a throwaway connection so it observes the
+    /// flag without needing a timeout.
     pub fn shutdown(&self) {
         self.stop.store(true, Ordering::SeqCst);
+        for stream in self.live_slots().iter().flatten() {
+            // Already closed by the peer is fine too.
+            drop(stream.shutdown(Shutdown::Read));
+        }
         if let Ok(addr) = self.listener.local_addr() {
             drop(TcpStream::connect(addr));
         }
@@ -68,15 +81,16 @@ impl<'d> Server<'d> {
         let (tx, rx) = mpsc::channel::<TcpStream>();
         let rx = Mutex::new(rx);
         std::thread::scope(|scope| {
-            for _ in 0..self.workers {
-                scope.spawn(|| loop {
+            for worker in 0..self.workers {
+                let rx = &rx;
+                scope.spawn(move || loop {
                     // Hold the queue lock only for the dequeue itself.
                     let next = {
                         let queue = rx.lock().expect("connection queue mutex poisoned");
                         queue.recv()
                     };
                     match next {
-                        Ok(stream) => self.handle(stream),
+                        Ok(stream) => self.serve(worker, stream),
                         // Sender dropped: the accept loop is done.
                         Err(_) => break,
                     }
@@ -99,6 +113,31 @@ impl<'d> Server<'d> {
             drop(tx);
         });
         Ok(())
+    }
+
+    fn live_slots(&self) -> std::sync::MutexGuard<'_, Vec<Option<TcpStream>>> {
+        self.live.lock().expect("live connection mutex poisoned")
+    }
+
+    /// Serves one connection on `worker`, registered in the worker's live
+    /// slot for its lifetime. The stop flag is checked under the slot
+    /// lock, which [`Server::shutdown`] takes after raising the flag: a
+    /// connection is either registered in time to be closed, or dropped
+    /// unserved.
+    fn serve(&self, worker: usize, stream: TcpStream) {
+        {
+            let mut live = self.live_slots();
+            if self.stop.load(Ordering::SeqCst) {
+                return;
+            }
+            match stream.try_clone() {
+                Ok(handle) => live[worker] = Some(handle),
+                // Without a handle shutdown could not close it.
+                Err(_) => return,
+            }
+        }
+        self.handle(stream);
+        self.live_slots()[worker] = None;
     }
 
     /// One connection's frame loop. Service-level rejections (bad
@@ -192,6 +231,37 @@ mod tests {
             assert_eq!(stats.version, 1);
 
             client.shutdown().expect("clean shutdown");
+            running
+                .join()
+                .expect("server thread exits")
+                .expect("run returns ok");
+        });
+    }
+
+    #[test]
+    fn shutdown_does_not_wait_for_idle_clients() {
+        let g = generate(&profiles::center_dense(30, 13));
+        let service = ResolveService::new(&g.dataset, ErMode::CleanClean, SCHEME, PRUNING, 8);
+        let server = Server::bind("127.0.0.1:0", service, 2).expect("bind ephemeral port");
+        let addr = server.local_addr().expect("bound address");
+        std::thread::scope(|s| {
+            let running = s.spawn(|| server.run());
+            // Connected, never sends a frame: a worker blocks reading it.
+            let idle = TcpStream::connect(addr).expect("idle client connects");
+            let mut client = Client::connect(addr).expect("connect to server");
+            client.stats().expect("served beside the idle client");
+            client.shutdown().expect("clean shutdown");
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+            while !running.is_finished() && std::time::Instant::now() < deadline {
+                std::thread::sleep(std::time::Duration::from_millis(10));
+            }
+            let returned = running.is_finished();
+            // Hang up before asserting, so a failure cannot hang the join.
+            drop(idle);
+            assert!(
+                returned,
+                "run must return while an idle client is connected"
+            );
             running
                 .join()
                 .expect("server thread exits")

@@ -1,6 +1,5 @@
-//! The shared resolution state machine: one incremental session + one
-//! hot-neighbourhood cache behind a mutex, with **batched admission**
-//! for concurrent resolves.
+//! The shared resolution state machine: one incremental session behind
+//! a mutex, with **batched admission** for concurrent resolves.
 //!
 //! Every connection worker calls into one [`ResolveService`]. Resolves
 //! do not each take the session lock: a requester enqueues its entity
@@ -13,18 +12,14 @@
 //! entities are resolved once per batch, not once per request.
 //!
 //! Ingests validate the whole batch *before* mutating anything, so a
-//! rejected batch leaves the corpus untouched. After a successful
-//! ingest the cache is invalidated through the session's dirty-entity
-//! report when [`locally_invalidatable`] holds for the configured
-//! scheme × pruning, and fully cleared otherwise (global criteria can
-//! re-decide edges between clean entities with no dirty-set trace).
+//! rejected batch leaves the corpus untouched. The session owns the
+//! hot-entity answer cache: it answers repeat resolves from it and
+//! decides in its own [`IncrementalSession::ingest`] which cached answers
+//! a batch invalidates.
 
 use crate::protocol::{IngestReply, ResolveReply, StatsReply};
 use minoan_blocking::ErMode;
-use minoan_metablocking::{
-    locally_invalidatable, IncrementalSession, NeighbourhoodCache, Pruning, ResolvedEntity,
-    WeightingScheme,
-};
+use minoan_metablocking::{IncrementalSession, Pruning, ResolvedEntity, WeightingScheme};
 use minoan_rdf::{Dataset, EntityId};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -52,28 +47,6 @@ impl IngestError {
     }
 }
 
-/// Snapshot of the service-side request counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ServiceStats {
-    /// RESOLVE requests answered.
-    pub resolves: u64,
-    /// Resolves that piggybacked on an in-flight resolve of the same
-    /// entity.
-    pub coalesced: u64,
-    /// Resolves answered from the hot-neighbourhood cache.
-    pub cache_hits: u64,
-    /// Resolves that ran a sweep.
-    pub cache_misses: u64,
-    /// INGEST batches applied.
-    pub ingests: u64,
-}
-
-/// The session + cache owned state (one lock).
-struct Inner<'d> {
-    session: IncrementalSession<'d>,
-    cache: NeighbourhoodCache,
-}
-
 /// One in-flight resolve: followers sleep on `cv` until the leader
 /// fills `done`.
 struct Slot {
@@ -97,15 +70,14 @@ struct Admission {
 /// The shared resolution service one [`Server`](crate::Server) (or an
 /// in-process harness) drives. See the [module docs](self).
 pub struct ResolveService<'d> {
-    inner: Mutex<Inner<'d>>,
+    session: Mutex<IncrementalSession<'d>>,
     admission: Mutex<Admission>,
-    local_invalidation: bool,
     num_entities: usize,
+    /// RESOLVE requests answered.
     resolves: AtomicU64,
+    /// Resolves that piggybacked on an in-flight resolve of the same
+    /// entity.
     coalesced: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
-    ingests: AtomicU64,
 }
 
 fn reply_of(version: u64, resolved: &ResolvedEntity) -> ResolveReply {
@@ -122,7 +94,7 @@ fn reply_of(version: u64, resolved: &ResolvedEntity) -> ResolveReply {
 
 impl<'d> ResolveService<'d> {
     /// A service over `dataset` with an empty corpus. `cache_capacity`
-    /// is the hot-neighbourhood cache size in entries (0 disables it —
+    /// is the session's answer-cache size in entries (0 disables it —
     /// every resolve sweeps).
     pub fn new(
         dataset: &'d Dataset,
@@ -132,42 +104,35 @@ impl<'d> ResolveService<'d> {
         cache_capacity: usize,
     ) -> Self {
         let mut session = IncrementalSession::new(dataset, mode);
-        session.scheme(scheme).pruning(pruning);
+        session
+            .scheme(scheme)
+            .pruning(pruning)
+            .cache_capacity(cache_capacity);
         Self {
-            inner: Mutex::new(Inner {
-                session,
-                cache: NeighbourhoodCache::new(cache_capacity),
-            }),
+            session: Mutex::new(session),
             admission: Mutex::new(Admission {
                 pending: Vec::new(),
                 leader_active: false,
             }),
-            local_invalidation: locally_invalidatable(scheme, pruning),
             num_entities: dataset.len(),
             resolves: AtomicU64::new(0),
             coalesced: AtomicU64::new(0),
-            cache_hits: AtomicU64::new(0),
-            cache_misses: AtomicU64::new(0),
-            ingests: AtomicU64::new(0),
         }
+    }
+
+    fn session(&self) -> std::sync::MutexGuard<'_, IncrementalSession<'d>> {
+        self.session.lock().expect("service mutex poisoned")
     }
 
     /// Pins the session's sweep worker count (results never depend on
     /// it).
     pub fn sweep_workers(&self, workers: usize) {
-        let mut inner = self.inner.lock().expect("service mutex poisoned");
-        inner.session.workers(workers);
+        self.session().workers(workers);
     }
 
     /// Entities in the dataset's id space.
     pub fn num_entities(&self) -> usize {
         self.num_entities
-    }
-
-    /// Whether ingests invalidate cached entries via dirty sets (vs.
-    /// clearing the whole cache).
-    pub fn uses_local_invalidation(&self) -> bool {
-        self.local_invalidation
     }
 
     /// Resolves one entity through batched admission. The answer is
@@ -221,25 +186,12 @@ impl<'d> ResolveService<'d> {
                 }
                 std::mem::take(&mut adm.pending)
             };
-            let mut guard = self.inner.lock().expect("service mutex poisoned");
-            let inner = &mut *guard;
+            let mut session = self.session();
             // The admission point: one version stamps the whole batch
             // (ingests also take this lock, so it cannot move mid-batch).
-            let version = inner.session.version();
+            let version = session.version();
             for p in &batch {
-                let reply = match inner.cache.get(EntityId(p.entity)) {
-                    Some(hit) => {
-                        self.cache_hits.fetch_add(1, Ordering::Relaxed);
-                        reply_of(version, hit)
-                    }
-                    None => {
-                        self.cache_misses.fetch_add(1, Ordering::Relaxed);
-                        let resolved = inner.session.resolve_entity(EntityId(p.entity));
-                        let reply = reply_of(version, &resolved);
-                        inner.cache.insert(resolved);
-                        reply
-                    }
-                };
+                let reply = reply_of(version, &session.resolve_entity(EntityId(p.entity)));
                 let mut done = p.slot.done.lock().expect("slot mutex poisoned");
                 *done = Some(reply);
                 p.slot.cv.notify_all();
@@ -248,11 +200,10 @@ impl<'d> ResolveService<'d> {
     }
 
     /// Ingests a batch. The whole batch is validated first; on success
-    /// the corpus version bumps by one and cached answers that the
-    /// batch could have changed are dropped.
+    /// the corpus version bumps by one and the session drops the cached
+    /// answers that the batch could have changed.
     pub fn ingest(&self, ids: &[u32]) -> Result<IngestReply, IngestError> {
-        let mut guard = self.inner.lock().expect("service mutex poisoned");
-        let inner = &mut *guard;
+        let mut session = self.session();
         let mut sorted = ids.to_vec();
         sorted.sort_unstable();
         if sorted.windows(2).any(|w| w[0] == w[1]) {
@@ -262,52 +213,34 @@ impl<'d> ResolveService<'d> {
             if (e as usize) >= self.num_entities {
                 return Err(IngestError::OutOfRange);
             }
-            if inner.session.has_arrived(EntityId(e)) {
+            if session.has_arrived(EntityId(e)) {
                 return Err(IngestError::AlreadyArrived);
             }
         }
         let batch: Vec<EntityId> = ids.iter().map(|&e| EntityId(e)).collect();
-        let report = inner.session.ingest(&batch);
-        let invalidated = if self.local_invalidation {
-            inner.cache.invalidate(inner.session.last_dirty())
-        } else {
-            let n = inner.cache.len();
-            inner.cache.clear();
-            n
-        };
-        self.ingests.fetch_add(1, Ordering::Relaxed);
+        let report = session.ingest(&batch);
         Ok(IngestReply {
-            version: inner.session.version(),
+            version: session.version(),
             arrived: report.arrived as u32,
             swept: report.swept_entities as u32,
-            invalidated: invalidated as u32,
+            invalidated: report.invalidated as u32,
             delta: report.delta,
         })
     }
 
-    /// The service-side counters.
-    pub fn service_stats(&self) -> ServiceStats {
-        ServiceStats {
+    /// The STATS answer: the admission counters, the session's cache
+    /// counts and corpus state. Every applied ingest bumps the version
+    /// once, so the version is also the ingest count.
+    pub fn stats(&self) -> StatsReply {
+        let session = self.session();
+        StatsReply {
             resolves: self.resolves.load(Ordering::Relaxed),
             coalesced: self.coalesced.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            cache_misses: self.cache_misses.load(Ordering::Relaxed),
-            ingests: self.ingests.load(Ordering::Relaxed),
-        }
-    }
-
-    /// The full STATS answer (counters + corpus state).
-    pub fn stats(&self) -> StatsReply {
-        let inner = self.inner.lock().expect("service mutex poisoned");
-        let s = self.service_stats();
-        StatsReply {
-            resolves: s.resolves,
-            coalesced: s.coalesced,
-            cache_hits: s.cache_hits,
-            cache_misses: s.cache_misses,
-            ingests: s.ingests,
-            num_arrived: inner.session.num_arrived() as u64,
-            version: inner.session.version(),
+            cache_hits: session.cache_hits(),
+            cache_misses: session.cache_misses(),
+            ingests: session.version(),
+            num_arrived: session.num_arrived() as u64,
+            version: session.version(),
         }
     }
 }
@@ -339,7 +272,7 @@ mod tests {
         // A repeat is a cache hit with the identical answer.
         let again = svc.resolve(5).expect("in range");
         assert_eq!(again, reply);
-        let stats = svc.service_stats();
+        let stats = svc.stats();
         assert_eq!(stats.resolves, 2);
         assert_eq!(stats.cache_hits, 1);
         assert_eq!(stats.cache_misses, 1);
@@ -383,7 +316,7 @@ mod tests {
                 assert_eq!(h.join().expect("no panic"), first);
             }
         });
-        let stats = svc.service_stats();
+        let stats = svc.stats();
         assert_eq!(stats.resolves, 9);
         // Capacity 0: every non-coalesced resolve swept.
         assert_eq!(stats.cache_hits, 0);

@@ -5,9 +5,10 @@
 //! input-edge count, same pair order, same f64 weight bits — across arrival orders,
 //! batch sizes, ER modes and thread counts. Run it under
 //! `RUST_TEST_THREADS=1` and `4` in CI; per-worker bit-identity is also
-//! asserted in-process. (Exact-delta assertions on the process-global
-//! probe counters live in `tests/incremental_probe.rs`, a separate test
-//! binary — ingests here would tick those counters concurrently.)
+//! asserted in-process. Each ingest's own [`IngestReport`] carries its
+//! sweep counts, so the subset claim is asserted on the report.
+//!
+//! [`IngestReport`]: minoan::metablocking::IngestReport
 
 mod common;
 
@@ -57,12 +58,19 @@ fn check_stream(
 ) {
     let mut inc = IncrementalSession::new(&g.dataset, mode);
     inc.scheme(scheme).pruning(pruning).workers(workers);
+    assert_eq!(inc.supports_delta(), expect_delta, "{label}: delta support");
     for (i, batch) in batches.iter().enumerate() {
         let report = inc.ingest(batch);
         if i > 0 || !batch.is_empty() {
             assert_eq!(
                 report.delta, expect_delta,
                 "{label}: batch {i} delta flag (report {report:?})"
+            );
+        }
+        if !expect_delta {
+            assert_eq!(
+                report.swept_entities, 0,
+                "{label}: a fallback sweeps no rows"
             );
         }
         let got = inc.outcome();
@@ -185,6 +193,42 @@ fn unsupported_combinations_fall_back_bit_identically() {
             2,
             false,
             &format!("fallback {scheme:?}/{pruning:?}"),
+        );
+    }
+}
+
+/// A small tail batch re-sweeps a strict subset of the corpus. The
+/// periphery regime has proprietary vocabularies, so the batch dirties
+/// only its own neighbourhood (in a center-style world with universal
+/// tokens a batch can legitimately dirty everyone).
+#[test]
+fn small_batches_re_sweep_a_strict_subset() {
+    let g = generate(&profiles::periphery_sparse(220, 17));
+    let ids: Vec<_> = g.dataset.entities().collect();
+    let (bulk, tail) = ids.split_at(ids.len() - 5);
+    let pruning = Pruning::Wnp { reciprocal: false };
+    for scheme in [WeightingScheme::Cbs, WeightingScheme::Arcs] {
+        let mut inc = IncrementalSession::new(&g.dataset, ErMode::CleanClean);
+        inc.scheme(scheme).pruning(pruning);
+        inc.ingest(bulk);
+        let report = inc.ingest(tail);
+        assert!(report.delta && report.touched_blocks > 0, "{report:?}");
+        if scheme == WeightingScheme::Arcs {
+            // ARCS re-sweeps exactly the members of the touched blocks.
+            assert_eq!(report.swept_entities, report.dirty_entities, "{report:?}");
+        }
+        assert!(
+            report.swept_entities < report.num_arrived,
+            "{scheme:?}: dirty sweep must touch a strict subset: {} of {}",
+            report.swept_entities,
+            report.num_arrived
+        );
+        let got = inc.outcome();
+        let snap = inc.snapshot().expect("ingest leaves a snapshot behind");
+        assert_bit_identical(
+            &got.pruned,
+            &oracle::prune(&BlockingGraph::build(snap), scheme, pruning),
+            &format!("{scheme:?}: tail batch vs reference"),
         );
     }
 }

@@ -3,8 +3,9 @@
 //! mention `e` in the full pruned outcome, in the same order, with the
 //! same f64 weight bits — for every scheme × pruning family, on both the
 //! batch [`Session`] and the updatable [`IncrementalSession`] (delta and
-//! fallback paths alike). Run under `RUST_TEST_THREADS=1` and `4` in CI;
-//! per-worker identity is also asserted in-process.
+//! fallback paths alike, answer cache on or off). Run under
+//! `RUST_TEST_THREADS=1` and `4` in CI; per-worker identity is also
+//! asserted in-process.
 
 mod common;
 
@@ -13,7 +14,7 @@ use minoan::blocking::{builders, ErMode};
 use minoan::datagen::{generate, profiles, ArrivalOrder, GeneratedWorld};
 use minoan::metablocking::{
     BlockingGraph, ExecutionBackend, FeatureExtractor, IncrementalSession, Perceptron, Pruning,
-    Session, TrainingSet, WeightedPair,
+    ResolvedEntity, Session, TrainingSet, WeightedPair,
 };
 use minoan::rdf::EntityId;
 
@@ -222,6 +223,106 @@ fn incremental_resolves_match_from_scratch_sessions_after_every_batch() {
                 }
             }
         }
+    }
+}
+
+/// Bit-identity of two whole answers: the same entity, neighbourhood and
+/// retained pairs.
+fn assert_same_answer(got: &ResolvedEntity, want: &ResolvedEntity, label: &str) {
+    assert_eq!(got.entity, want.entity, "{label}: entity");
+    assert_eq!(got.neighbours, want.neighbours, "{label}: neighbours");
+    assert_pairs_bit_identical(&got.matches, &want.matches, label);
+}
+
+/// The session's answer cache never changes an answer: a cached session
+/// answers every resolve bit-identically to an uncached one across a
+/// stream of single-entity arrivals — for a locally invalidatable
+/// combination (JS × WNP, entries dropped by changed rows) and one whose
+/// every ingest must clear the cache (ECBS × WEP). The periphery stream
+/// grows old entities through newly present blocks while leaving most of
+/// the corpus clean; under JS that changes the rows of clean neighbours
+/// too, where a dirty-set-only rule served stale answers.
+#[test]
+fn cached_sessions_answer_exactly_like_uncached_ones_across_ingests() {
+    use minoan::metablocking::WeightingScheme;
+    let g = generate(&profiles::periphery_sparse(150, 1));
+    let batches = ArrivalOrder::Shuffled { seed: 1 }.batches(&g.dataset, &g.truth, 1);
+    // Every entity, with room for all: each answer stays cached across
+    // the ingest that could make it stale.
+    let n = g.dataset.len();
+    for (label, scheme, pruning, local) in [
+        (
+            "js/wnp",
+            WeightingScheme::Js,
+            Pruning::Wnp { reciprocal: false },
+            true,
+        ),
+        ("ecbs/wep", WeightingScheme::Ecbs, Pruning::Wep, false),
+    ] {
+        let mut cached = IncrementalSession::new(&g.dataset, ErMode::CleanClean);
+        cached.scheme(scheme).pruning(pruning).cache_capacity(n);
+        let mut bare = IncrementalSession::new(&g.dataset, ErMode::CleanClean);
+        bare.scheme(scheme).pruning(pruning);
+        for (i, batch) in batches.iter().enumerate() {
+            let report = cached.ingest(batch);
+            bare.ingest(batch);
+            let held = if i == 0 { 0 } else { n };
+            if local {
+                assert!(report.invalidated <= held, "{label}/batch={i}: {report:?}");
+            } else {
+                assert_eq!(report.invalidated, held, "{label}/batch={i}: clears all");
+            }
+            // Twice per version: the second round is all cache hits.
+            for round in 0..2 {
+                for e in g.dataset.entities() {
+                    let tag = format!("{label}/batch={i}/round={round}/e={}", e.0);
+                    assert_same_answer(&cached.resolve_entity(e), &bare.resolve_entity(e), &tag);
+                }
+            }
+        }
+        let resolves = (2 * n * batches.len()) as u64;
+        assert_eq!(bare.cache_hits(), 0, "{label}: capacity 0 never hits");
+        assert_eq!(bare.cache_misses(), resolves, "{label}");
+        assert_eq!(cached.cache_hits() + cached.cache_misses(), resolves);
+        assert!(
+            cached.cache_hits() >= (n * batches.len()) as u64,
+            "{label}: every second round must hit"
+        );
+    }
+}
+
+/// A warm cache survives no configuration switch: after a `scheme()` or a
+/// `pruning()` change the session answers what a fresh session with the
+/// new configuration answers.
+#[test]
+fn configuration_switches_drop_cached_answers() {
+    use minoan::metablocking::WeightingScheme;
+    let g = world();
+    let ids: Vec<EntityId> = g.dataset.entities().collect();
+    let hot = probes(g.dataset.len(), 13);
+    let mut cached = IncrementalSession::new(&g.dataset, ErMode::CleanClean);
+    cached
+        .scheme(WeightingScheme::Js)
+        .pruning(Pruning::Wnp { reciprocal: false })
+        .cache_capacity(64);
+    cached.ingest(&ids);
+    for &e in &hot {
+        cached.resolve_entity(e);
+    }
+    for (scheme, pruning) in [
+        (WeightingScheme::Arcs, Pruning::Wnp { reciprocal: false }),
+        (WeightingScheme::Arcs, Pruning::Cep(None)),
+    ] {
+        cached.scheme(scheme).pruning(pruning);
+        let mut fresh = IncrementalSession::new(&g.dataset, ErMode::CleanClean);
+        fresh.scheme(scheme).pruning(pruning);
+        fresh.ingest(&ids);
+        let hits = cached.cache_hits();
+        for &e in &hot {
+            let tag = format!("{scheme:?}/{pruning:?}/e={}", e.0);
+            assert_same_answer(&cached.resolve_entity(e), &fresh.resolve_entity(e), &tag);
+        }
+        assert_eq!(cached.cache_hits(), hits, "a switch leaves nothing to hit");
     }
 }
 

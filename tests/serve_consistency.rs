@@ -158,7 +158,7 @@ fn interleaved_resolves_match_from_scratch_at_the_admission_point() {
                 let reply = service.resolve(cold).expect("in range");
                 check_reply(&mut reference, cold, reply.version, &reply.pairs, &tag);
             }
-            let stats = service.service_stats();
+            let stats = service.stats();
             if cache > 0 {
                 assert!(stats.cache_hits > 0, "{tag}: hot probes must hit the cache");
             } else {
@@ -222,7 +222,7 @@ fn concurrent_resolves_under_ingest_stay_version_consistent() {
                 .flat_map(|h| h.join().expect("client finishes"))
                 .collect()
         });
-        let stats = service.service_stats();
+        let stats = service.stats();
         assert_eq!(stats.resolves, 320, "w={workers}: all resolves counted");
         let mut reference = Reference::new(&g, &batches, scheme, pruning);
         let mut versions = std::collections::BTreeSet::new();

@@ -3,28 +3,17 @@
 //! the reference implementations (`common::oracle`), for every
 //! [`ExecutionBackend`] and workers 1/4 — and the sweep must *reuse* the
 //! expensive shared state instead of rebuilding it per run, asserted via
-//! the [`probe`] build/allocation counters.
-//!
-//! Every test takes the file-local probe lock: the counters are
-//! process-global, so the measured regions must not interleave.
+//! each session's own build/allocation counts ([`Session::counts`]).
 
 use minoan::blocking::{builders, ErMode};
 use minoan::metablocking::{
-    probe, BlockingGraph, ExecutionBackend, FeatureExtractor, Perceptron, Pruning, Session,
-    TrainingSet, WeightedPair,
+    BlockingGraph, ExecutionBackend, FeatureExtractor, Perceptron, Pruning, Session, TrainingSet,
+    WeightedPair,
 };
 use minoan::prelude::*;
-use std::sync::{Mutex, MutexGuard, OnceLock};
 
 mod common;
 use common::{assert_outcome_bit_identical, assert_pairs_bit_identical, oracle};
-
-fn probe_lock() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-}
 
 fn fixture() -> (BlockCollection, BlockingGraph) {
     let world = generate(&profiles::center_dense(120, 13));
@@ -75,7 +64,6 @@ fn single_shot(
 /// bitwise-equal to the reference, per backend and worker count.
 #[test]
 fn one_session_sweep_equals_fresh_single_shots() {
-    let _guard = probe_lock();
     let (blocks, graph) = fixture();
     for backend in ExecutionBackend::ALL {
         for workers in [1usize, 4] {
@@ -106,7 +94,6 @@ fn one_session_sweep_equals_fresh_single_shots() {
 /// sweep state crosses backend boundaries) never changes a bit.
 #[test]
 fn backend_interleaving_on_one_session_is_bit_identical() {
-    let _guard = probe_lock();
     let (blocks, graph) = fixture();
     let mut session = Session::new(&blocks);
     session.workers(3);
@@ -135,7 +122,6 @@ fn backend_interleaving_on_one_session_is_bit_identical() {
 /// entry point, bit-identical to the reference supervised pruner.
 #[test]
 fn supervised_family_reachable_from_every_backend() {
-    let _guard = probe_lock();
     let world = generate(&profiles::center_dense(140, 23));
     let blocks = builders::token_blocking(&world.dataset, ErMode::CleanClean);
     let graph = BlockingGraph::build(&blocks);
@@ -163,23 +149,21 @@ fn supervised_family_reachable_from_every_backend() {
     }
 }
 
-/// The acceptance probe: a five-scheme sweep through one materialised
+/// The acceptance check: a five-scheme sweep through one materialised
 /// session performs exactly one CSR build (fresh sessions would build
 /// five times), and further family runs still add none.
 #[test]
 fn five_scheme_materialised_sweep_builds_csr_exactly_once() {
-    let _guard = probe_lock();
     let world = generate(&profiles::center_dense(100, 3));
     let blocks = builders::token_blocking(&world.dataset, ErMode::CleanClean);
 
-    let before = probe::csr_builds();
     let mut session = Session::new(&blocks);
     session.pruning(Pruning::Wnp { reciprocal: false });
     for scheme in WeightingScheme::ALL {
         session.scheme(scheme).run();
     }
     assert_eq!(
-        probe::csr_builds() - before,
+        session.counts().csr_builds,
         1,
         "five schemes through one session = one CSR build"
     );
@@ -187,37 +171,34 @@ fn five_scheme_materialised_sweep_builds_csr_exactly_once() {
         session.pruning(family).run();
     }
     assert_eq!(
-        probe::csr_builds() - before,
+        session.counts().csr_builds,
         1,
         "family sweep reuses the same graph"
     );
 
     // Contrast: fresh single-shot sessions rebuild per call.
-    let fresh_before = probe::csr_builds();
     for scheme in WeightingScheme::ALL {
-        Session::new(&blocks)
+        let mut fresh = Session::new(&blocks);
+        fresh
             .scheme(scheme)
             .pruning(Pruning::Wnp { reciprocal: false })
             .run();
+        assert_eq!(
+            fresh.counts().csr_builds,
+            1,
+            "{scheme:?}: a fresh session builds once"
+        );
     }
-    assert_eq!(
-        probe::csr_builds() - fresh_before,
-        5,
-        "fresh sessions build once each"
-    );
 }
 
-/// The acceptance probe, streaming arm: a full scheme × family sweep at
+/// The acceptance check, streaming arm: a full scheme × family sweep at
 /// one worker performs exactly one scratch allocation and zero CSR
 /// builds.
 #[test]
 fn streaming_sweep_allocates_exactly_one_scratch_at_one_worker() {
-    let _guard = probe_lock();
     let world = generate(&profiles::center_dense(100, 5));
     let blocks = builders::token_blocking(&world.dataset, ErMode::CleanClean);
 
-    let builds_before = probe::csr_builds();
-    let allocs_before = probe::scratch_allocs();
     let mut session = Session::new(&blocks);
     session.backend(ExecutionBackend::Streaming).workers(1);
     for scheme in WeightingScheme::ALL {
@@ -227,12 +208,12 @@ fn streaming_sweep_allocates_exactly_one_scratch_at_one_worker() {
         }
     }
     assert_eq!(
-        probe::scratch_allocs() - allocs_before,
+        session.counts().scratch_allocs,
         1,
         "the whole streaming sweep reuses one pooled scratch"
     );
     assert_eq!(
-        probe::csr_builds() - builds_before,
+        session.counts().csr_builds,
         0,
         "the streaming backend never builds the CSR graph"
     );
@@ -243,12 +224,10 @@ fn streaming_sweep_allocates_exactly_one_scratch_at_one_worker() {
 /// instead of allocating per job.
 #[test]
 fn mapreduce_sweep_bounds_scratch_allocations_by_worker_count() {
-    let _guard = probe_lock();
     let world = generate(&profiles::center_dense(100, 7));
     let blocks = builders::token_blocking(&world.dataset, ErMode::CleanClean);
 
     let workers = 2usize;
-    let allocs_before = probe::scratch_allocs();
     let mut session = Session::new(&blocks);
     session
         .backend(ExecutionBackend::MapReduce)
@@ -257,10 +236,10 @@ fn mapreduce_sweep_bounds_scratch_allocations_by_worker_count() {
     for scheme in WeightingScheme::ALL {
         session.scheme(scheme).run();
     }
-    let delta = probe::scratch_allocs() - allocs_before;
-    assert!(delta >= 1, "at least one scratch must exist");
+    let allocs = session.counts().scratch_allocs;
+    assert!(allocs >= 1, "at least one scratch must exist");
     assert!(
-        delta <= workers,
-        "a {workers}-worker sweep may allocate at most {workers} scratches, got {delta}"
+        allocs <= workers,
+        "a {workers}-worker sweep may allocate at most {workers} scratches, got {allocs}"
     );
 }
